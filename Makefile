@@ -5,9 +5,9 @@
 PYTHON ?= python
 export PYTHONPATH := src:.
 
-.PHONY: check test test-faults bench bench-sweep bench-runtime bench-pipeline bench-serve bench-serve-smoke bench-packed bench-update bench-classify bench-classify-smoke serve-smoke serve-smoke-fleet update-faults
+.PHONY: check test test-faults bench bench-sweep bench-runtime bench-pipeline bench-serve bench-serve-smoke bench-packed bench-update bench-classify bench-classify-smoke bench-e2e-selftest serve-smoke serve-smoke-fleet update-faults
 
-check: test serve-smoke serve-smoke-fleet bench-serve-smoke bench-classify-smoke  ## the pre-merge gate: tier-1 + both serve smokes + fast serve/classify benches
+check: test serve-smoke serve-smoke-fleet bench-serve-smoke bench-classify-smoke bench-e2e-selftest  ## the pre-merge gate: tier-1 + both serve smokes + fast serve/classify benches + benchmark-harness self-tests
 	@echo "check: all gates passed"
 
 test:  ## tier-1: the full fast suite
@@ -28,7 +28,7 @@ bench-runtime:  ## the resilient-runtime overhead gate (<10% on fault-free sweep
 bench-pipeline:  ## the artifact-pipeline gates (warm >= 5x cold, cold overhead < 10%)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_pipeline.py -m bench -q -s
 
-bench-serve:  ## the serving-layer gates (cached >= 50x rebuild, batch >= 5x singles, fleet scaling/p99/memory)
+bench-serve:  ## the serving-layer gates (resident lookup >= 50x rebuild, batch >= 5x singles, fleet scaling/p99/memory)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_serve.py -m bench -q -s
 
 bench-serve-smoke:  ## the same serving gates under a seconds-long load (functional contracts only)
@@ -45,6 +45,9 @@ bench-classify:  ## the bulk-classify gates (throughput >= 60k records/s, peak R
 
 bench-classify-smoke:  ## the same classify gates on a seconds-long log (throughput/memory contracts only)
 	BENCH_CLASSIFY_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_bench_perf_classify.py -m bench -q
+
+bench-e2e-selftest:  ## the repo benchmark's harness self-tests (scraped metrics, JSON shapes, verdicts)
+	$(PYTHON) -m pytest benchmarks/e2e -m bench -q
 
 serve-smoke:  ## start psl-serve on an ephemeral port, hit every endpoint, assert JSON shapes
 	$(PYTHON) -m repro.serve.cli --smoke

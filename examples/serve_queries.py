@@ -88,7 +88,7 @@ def main() -> None:
             if line.startswith("#"):
                 continue
             if line.startswith(("psl_serve_requests_total",
-                                "psl_serve_cache_hit_ratio",
+                                "psl_serve_hostname_lookups_total",
                                 "psl_serve_snapshot_index",
                                 "psl_serve_snapshot_swaps_total")):
                 print("  " + line)

@@ -12,7 +12,6 @@ The ablation bench quantifies the win on snapshot-shaped workloads
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Generic, Hashable, TypeVar
 
@@ -66,65 +65,6 @@ class LruDict(Generic[K, V]):
     def clear(self) -> None:
         """Drop every entry."""
         self._data.clear()
-
-
-class ThreadSafeLruDict(Generic[K, V]):
-    """A :class:`LruDict` safe for concurrent readers and writers.
-
-    ``LruDict`` itself is **not** thread-safe: every ``get`` mutates
-    recency (``move_to_end``), so even all-reader workloads write, and
-    ``put`` is a three-step sequence (insert, refresh, evict) that can
-    interleave with a concurrent ``clear`` into a ``KeyError`` from
-    ``popitem`` or leave the map transiently over capacity.  The serve
-    engine's query caches are hit from every server thread at once, so
-    this wrapper takes one mutex around each composite operation.
-
-    Hit/miss counters live here too, updated under the same lock —
-    accurate statistics come for free once the lock exists, and the
-    serving metrics endpoint needs them to be exact, not racy.
-    """
-
-    __slots__ = ("_inner", "_lock", "hits", "misses")
-
-    def __init__(self, capacity: int) -> None:
-        self._inner: LruDict[K, V] = LruDict(capacity)
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._inner.capacity
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._inner)
-
-    def __contains__(self, key: K) -> bool:
-        with self._lock:
-            return key in self._inner
-
-    def get(self, key: K) -> V | None:
-        """The stored value, refreshed as most recent; None on a miss."""
-        with self._lock:
-            value = self._inner.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
-    def put(self, key: K, value: V) -> None:
-        """Store a value, evicting the least recently used past capacity."""
-        with self._lock:
-            self._inner.put(key, value)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the statistics."""
-        with self._lock:
-            self._inner.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 class CachingMatcher:

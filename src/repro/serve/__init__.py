@@ -12,7 +12,7 @@ Layering::
 
     SnapshotRegistry  (snapshots.py)  versioned immutable snapshots,
          |                            atomic copy-on-write hot-swap
-    QueryEngine       (engine.py)     thread-safe sharded LRU caching,
+    QueryEngine       (engine.py)     uncached hostname -> snapshot.match,
          |                            single/batch/compare APIs
     RequestCore       (core.py)       transport-agnostic routing,
          |                            admission, error mapping, metrics
@@ -52,7 +52,6 @@ from repro.serve.engine import (
     BatchItemError,
     ClassifyAnswer,
     CompareAnswer,
-    EngineStats,
     QueryEngine,
     SiteAnswer,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "Counter",
     "DEFAULT_DRAIN_DEADLINE",
     "DEFAULT_REQUEST_TIMEOUT",
-    "EngineStats",
     "Gauge",
     "Histogram",
     "LocalEpochs",

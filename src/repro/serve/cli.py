@@ -45,7 +45,6 @@ from typing import Callable
 
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
-from repro.serve.engine import QueryEngine
 from repro.serve.http import DEFAULT_MAX_INFLIGHT, PslServer, serve_forever
 from repro.serve.snapshots import SnapshotRegistry
 
@@ -147,13 +146,9 @@ def build_server(args: argparse.Namespace) -> PslServer:
         resident_capacity=args.resident,
         packed=packed,
     )
-    engine = QueryEngine(
-        registry, cache_capacity=args.cache_capacity, shards=args.shards
-    )
     server = PslServer(
         (args.host, args.port),
         registry,
-        engine=engine,
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
         quiet=not args.verbose,
@@ -204,8 +199,6 @@ def build_fleet(args: argparse.Namespace):
         port=args.port,
         version=args.version,
         resident_capacity=args.resident,
-        cache_capacity=args.cache_capacity,
-        shards=args.shards,
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
         drain_deadline=args.drain_deadline,
@@ -326,7 +319,7 @@ def run_smoke(base: str) -> list[str]:
     for needle in (
         "psl_serve_requests_total",
         "psl_serve_request_seconds_bucket",
-        "psl_serve_cache_hit_ratio",
+        "psl_serve_hostname_lookups_total",
         "psl_serve_snapshot_age_days",
         "psl_serve_snapshot_swaps_total",
     ):
@@ -468,14 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--resident", type=int, default=4,
         help="how many extra versions stay materialized for /compare",
-    )
-    parser.add_argument(
-        "--cache-capacity", type=int, default=65536,
-        help="total suffix-match cache entries across shards",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=8,
-        help="cache shard count (lock granularity)",
     )
     parser.add_argument(
         "--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT,

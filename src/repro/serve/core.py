@@ -210,27 +210,7 @@ class RequestCore:
             "psl_serve_hostname_lookups_total",
             "Individual hostname lookups performed (batch items count each).",
         )
-        engine, registry = self.engine, self.registry
-        metrics.callback_gauge(
-            "psl_serve_cache_hits_total",
-            "Suffix-match cache hits across every shard.",
-            lambda: engine.stats().hits,
-        )
-        metrics.callback_gauge(
-            "psl_serve_cache_misses_total",
-            "Suffix-match cache misses across every shard.",
-            lambda: engine.stats().misses,
-        )
-        metrics.callback_gauge(
-            "psl_serve_cache_hit_ratio",
-            "Cache hits / (hits + misses) since start.",
-            lambda: engine.stats().hit_rate,
-        )
-        metrics.callback_gauge(
-            "psl_serve_cache_entries",
-            "Live suffix-match cache entries across every shard.",
-            lambda: engine.stats().entries,
-        )
+        registry = self.registry
         metrics.callback_gauge(
             "psl_serve_snapshot_index",
             "History index of the active snapshot.",
@@ -440,7 +420,8 @@ class RequestCore:
         return value
 
     @staticmethod
-    def _read_body(request: Request) -> dict:
+    def _read_raw_body(request: Request) -> bytes:
+        """The declared body, read in full so keep-alive stays in sync."""
         length = request.content_length
         # A negative length must never reach request.read(): rfile.read(-1)
         # means read-until-EOF, which buffers whatever a keep-alive client
@@ -449,7 +430,11 @@ class RequestCore:
             raise Reject(400, "invalid_content_length", {"value": length})
         if length > MAX_BODY_BYTES:
             raise Reject(413, "body_too_large", {"limit_bytes": MAX_BODY_BYTES})
-        raw = request.read(length) if length else b""
+        return request.read(length) if length else b""
+
+    @classmethod
+    def _read_body(cls, request: Request) -> dict:
+        raw = cls._read_raw_body(request)
         if not raw:
             raise Reject(400, "empty_body")
         try:
@@ -543,8 +528,11 @@ class RequestCore:
         query = request.query()
         spec = query.get("version")
         if spec is None:
-            body = self._read_body(request)
-            spec = body.get("version")
+            spec = self._read_body(request).get("version")
+        else:
+            # The query wins, but a body sent alongside it must still be
+            # consumed or its bytes would be parsed as the next request.
+            self._read_raw_body(request)
         if spec is None:
             raise Reject(400, "missing_parameter", {"parameter": "version"})
         snapshot, epoch = self.epochs.swap(spec)

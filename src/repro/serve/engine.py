@@ -13,18 +13,13 @@ with registry hot-swaps:
   pinning: every answer in one batch comes from one version even if a
   swap lands mid-batch.
 
-Caching is a sharded :class:`~repro.psl.caching.ThreadSafeLruDict` of
-full :class:`~repro.psl.list.SuffixMatch` results keyed by
-``(snapshot fingerprint, hostname)`` — the fingerprint in the key is
-what makes hot-swap correctness free: entries for an outgoing version
-simply stop being referenced and age out of the LRU, so a swap never
-needs to (and never does) flush or lock the caches.  Sharding keeps
-lock contention flat as server threads scale.
-
-Hostname admission is :func:`repro.net.hostname.normalize_or_reject`,
-the same gate the streaming ingest path uses; anything it refuses
-surfaces as a structured :class:`~repro.net.errors.HostnameError`, the
-HTTP layer's 400.
+Every lookup takes one uncached path, for dict and packed snapshots
+alike: :func:`repro.net.hostname.normalize_or_reject` (the same gate
+the streaming ingest path uses; anything it refuses surfaces as a
+structured :class:`~repro.net.errors.HostnameError`, the HTTP layer's
+400), then one :meth:`PslSnapshot.match` trie walk.  Nothing is
+memoised per hostname: the walk costs ~5 µs on either backend, and
+with no cache a hot-swap never has anything to invalidate.
 """
 
 from __future__ import annotations
@@ -35,12 +30,7 @@ from typing import Iterable, Sequence
 
 from repro.net.errors import HostnameError
 from repro.net.hostname import normalize_or_reject
-from repro.psl.caching import ThreadSafeLruDict
-from repro.psl.list import SuffixMatch
 from repro.serve.snapshots import PslSnapshot, SnapshotRegistry
-
-DEFAULT_CACHE_CAPACITY = 65_536
-DEFAULT_SHARDS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +44,6 @@ class SiteAnswer:
     is_public_suffix: bool
     version_index: int
     version_date: datetime.date
-    cached: bool
 
     def to_json(self) -> dict:
         return {
@@ -65,7 +54,6 @@ class SiteAnswer:
             "is_public_suffix": self.is_public_suffix,
             "version": self.version_index,
             "version_date": self.version_date.isoformat(),
-            "cached": self.cached,
         }
 
 
@@ -150,45 +138,11 @@ class CompareAnswer:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class EngineStats:
-    """Aggregate cache statistics across every shard."""
-
-    hits: int
-    misses: int
-    entries: int
-    capacity: int
-    shards: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class QueryEngine:
-    """Concurrent, cached PSL queries over a :class:`SnapshotRegistry`."""
+    """Concurrent PSL queries over a :class:`SnapshotRegistry`."""
 
-    def __init__(
-        self,
-        registry: SnapshotRegistry,
-        *,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        shards: int = DEFAULT_SHARDS,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be positive")
+    def __init__(self, registry: SnapshotRegistry) -> None:
         self._registry = registry
-        if cache_capacity <= 0:
-            # No per-hostname LRU at all: every lookup walks the trie.
-            # The supported mode for packed snapshots, whose uncached
-            # walk is fast enough that the cache is optional.
-            self._shards = ()
-        else:
-            per_shard = max(1, cache_capacity // shards)
-            self._shards: tuple[ThreadSafeLruDict[tuple[str, str], SuffixMatch], ...] = tuple(
-                ThreadSafeLruDict(per_shard) for _ in range(shards)
-            )
 
     @property
     def registry(self) -> SnapshotRegistry:
@@ -202,22 +156,8 @@ class QueryEngine:
             return self._registry.active
         return self._registry.resident(version)
 
-    def _match(self, snapshot: PslSnapshot, hostname: str) -> tuple[SuffixMatch, str, bool]:
-        """Cached lookup; returns (match, normalized name, was cached)."""
-        name = normalize_or_reject(hostname)
-        if not self._shards:
-            return snapshot.match(name), name, False
-        key = (snapshot.fingerprint, name)
-        shard = self._shards[hash(key) % len(self._shards)]
-        match = shard.get(key)
-        if match is not None:
-            return match, name, True
-        match = snapshot.match(name)
-        shard.put(key, match)
-        return match, name, False
-
     def _answer(self, snapshot: PslSnapshot, hostname: str) -> SiteAnswer:
-        match, name, cached = self._match(snapshot, hostname)
+        match = snapshot.match(normalize_or_reject(hostname))
         return SiteAnswer(
             hostname=match.hostname,
             site=match.site,
@@ -226,7 +166,6 @@ class QueryEngine:
             is_public_suffix=match.registrable_domain is None,
             version_index=snapshot.index,
             version_date=snapshot.date,
-            cached=cached,
         )
 
     # -- the query surface ---------------------------------------------------
@@ -286,26 +225,3 @@ class QueryEngine:
             old=self._answer(old_snapshot, hostname),
             new=self._answer(new_snapshot, hostname),
         )
-
-    # -- introspection -------------------------------------------------------
-
-    def stats(self) -> EngineStats:
-        """Exact (lock-consistent per shard) cache statistics."""
-        hits = misses = entries = capacity = 0
-        for shard in self._shards:
-            hits += shard.hits
-            misses += shard.misses
-            entries += len(shard)
-            capacity += shard.capacity
-        return EngineStats(
-            hits=hits,
-            misses=misses,
-            entries=entries,
-            capacity=capacity,
-            shards=len(self._shards),
-        )
-
-    def clear_cache(self) -> None:
-        """Drop every cached match (statistics reset too)."""
-        for shard in self._shards:
-            shard.clear()

@@ -55,7 +55,6 @@ from repro.history.store import VersionStore
 from repro.psl.diff import RuleDelta
 from repro.psl.packed import PackedHistory
 from repro.serve.core import DEFAULT_MAX_INFLIGHT, Reject, RequestCore
-from repro.serve.engine import DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS, QueryEngine
 from repro.serve.http import PslServer, serve_forever
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.snapshots import PslSnapshot, SnapshotRegistry
@@ -470,8 +469,6 @@ class FleetConfig:
     port: int = 0
     version: object = "latest"
     resident_capacity: int = 4
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    shards: int = DEFAULT_SHARDS
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     request_timeout: float | None = 30.0
     drain_deadline: float = 10.0
@@ -625,14 +622,10 @@ def _worker_body(
         resident_capacity=config.resident_capacity,
         packed=packed,
     )
-    engine = QueryEngine(
-        registry, cache_capacity=config.cache_capacity, shards=config.shards
-    )
     epochs = BusEpochs(registry, bus)
     stale_after = max(2.0, config.heartbeat_interval * HEARTBEAT_STALE_FACTOR)
     core = RequestCore(
         registry,
-        engine=engine,
         max_inflight=config.max_inflight,
         epochs=epochs,
         worker_id=worker_id,

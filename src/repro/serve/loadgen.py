@@ -3,10 +3,10 @@
 Top-list measurement work (Scheitle et al., PAPERS.md) shows web
 traffic is head-heavy: a handful of hostnames dominate while a long
 tail contributes one hit each.  That is exactly the load shape a
-production PSL endpoint sees, and exactly the shape that exercises the
-serving tier's cache (the head hits it) *and* its trie walk (the tail
-misses it).  :class:`ZipfSampler` reproduces it: hostname rank ``r``
-is drawn with probability proportional to ``1 / r**s``.
+production PSL endpoint sees: the head repeats a few trie walks while
+the tail spreads them over the whole list.  :class:`ZipfSampler`
+reproduces it: hostname rank ``r`` is drawn with probability
+proportional to ``1 / r**s``.
 
 The generator drives *real* HTTP — ``http.client`` connections with
 keep-alive, one per worker thread — because the quantity under test is
@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
             hostnames = [line.strip() for line in handle if line.strip()]
     else:
         # A small head + long synthetic tail: enough shape to exercise
-        # cache hits and misses without needing a corpus on disk.
+        # a hot head and a cold tail without needing a corpus on disk.
         hostnames = [
             "www.example.com", "cdn.example.com", "app.example.co.uk",
             "user.github.io", "shop.example.org", "api.example.net",

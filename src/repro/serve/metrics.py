@@ -20,7 +20,7 @@ import threading
 from typing import Callable, Mapping, Sequence
 
 #: Default latency buckets (seconds): tuned for an in-memory lookup
-#: service — sub-millisecond cache hits through pathological tail.
+#: service — sub-millisecond trie walks through pathological tail.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
@@ -223,8 +223,8 @@ class Histogram(_Metric):
 class CallbackGauge(_Metric):
     """A gauge whose value is sampled from a callable at scrape time.
 
-    The serving layer points these at live state — snapshot age, cache
-    hit ratio, resident count — so ``/metrics`` always reflects *now*
+    The serving layer points these at live state — snapshot age, swap
+    count, resident count — so ``/metrics`` always reflects *now*
     without every code path pushing updates.
     """
 

@@ -82,7 +82,7 @@ class PslSnapshot:
 
     @property
     def fingerprint(self) -> str:
-        """Content fingerprint of the rule set (the cache-key component)."""
+        """Content fingerprint of the rule set (what fleet swaps verify)."""
         return self.psl.fingerprint
 
     @property

@@ -41,7 +41,6 @@ import urllib.request
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.runtime.executor import RetryPolicy
-from repro.serve.engine import QueryEngine
 from repro.serve.http import PslServer
 from repro.serve.snapshots import SnapshotRegistry
 from repro.update.slo import SloPolicy
@@ -168,10 +167,7 @@ def soak(args: argparse.Namespace) -> int:
         f"({behind} behind); fault plan: {len(plan.faults)} injected faults"
     )
     registry = SnapshotRegistry(prefix_store(truth, local_count))
-    engine = QueryEngine(registry, cache_capacity=16384, shards=4)
-    server = PslServer(
-        ("127.0.0.1", 0), registry, engine=engine, max_inflight=64, request_timeout=5.0
-    )
+    server = PslServer(("127.0.0.1", 0), registry, max_inflight=64, request_timeout=5.0)
     upstream = SyntheticUpstream(truth, plan=plan, client_timeout=0.2)
     watcher = Watcher(
         registry,

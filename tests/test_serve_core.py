@@ -20,16 +20,13 @@ from repro.serve.core import (
     Response,
     error_body,
 )
-from repro.serve.engine import QueryEngine
 from repro.serve.snapshots import SnapshotRegistry
 
 from tests.test_serve_snapshots import make_store
 
 
 def make_core(**kwargs) -> RequestCore:
-    registry = SnapshotRegistry(make_store())
-    engine = QueryEngine(registry, cache_capacity=1024, shards=2)
-    return RequestCore(registry, engine=engine, **kwargs)
+    return RequestCore(SnapshotRegistry(make_store()), **kwargs)
 
 
 def get(core: RequestCore, target: str) -> Response:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.core import Request, RequestCore
-from repro.serve.engine import QueryEngine
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.snapshots import SnapshotRegistry
 
@@ -91,9 +90,7 @@ class TestMetricsEndpointSafety:
     """The regression the satellite names: /metrics never 500s."""
 
     def _core(self) -> RequestCore:
-        registry = SnapshotRegistry(make_store())
-        engine = QueryEngine(registry, cache_capacity=256, shards=2)
-        return RequestCore(registry, engine=engine)
+        return RequestCore(SnapshotRegistry(make_store()))
 
     def test_scrape_with_poisoned_gauge_is_200(self):
         core = self._core()

@@ -66,16 +66,15 @@ class TestPackedParity:
         assert dict_registry.active.describe()["packed"] is False
 
     def test_engine_parity_without_cache(self, store):
-        """The packed serving mode: cache_capacity=0, every walk uncached."""
+        """Both backends answer through the same uncached engine path."""
         dict_engine = QueryEngine(make_registry(store, "dict"))
-        packed_engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
+        packed_engine = QueryEngine(make_registry(store, "packed"))
         for host in HOSTS:
             expected = dict_engine.site(host)
             got = packed_engine.site(host)
             assert got.site == expected.site
             assert got.public_suffix == expected.public_suffix
             assert got.registrable_domain == expected.registrable_domain
-            assert got.cached is False
         for old in range(len(store)):
             for host in HOSTS:
                 left = dict_engine.compare(host, old)
@@ -85,22 +84,12 @@ class TestPackedParity:
 
 
 class TestNoCacheMode:
-    def test_stats_report_zero_shards(self, store):
-        engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
-        for _ in range(3):
-            for host in HOSTS:
-                engine.site(host)
-        stats = engine.stats()
-        assert stats.shards == 0
-        assert stats.capacity == 0
-        assert stats.hits == 0 and stats.misses == 0
-        assert stats.hit_rate == 0.0
-        engine.clear_cache()  # must be a harmless no-op
-
     def test_batch_answers_are_never_cached(self, store):
-        engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
+        engine = QueryEngine(make_registry(store, "packed"))
         answer = engine.batch(HOSTS * 2)
-        assert all(item.cached is False for item in answer.answers)
+        rows = [item.to_json() for item in answer.answers]
+        assert all("cached" not in row for row in rows)
+        assert rows[: len(HOSTS)] == rows[len(HOSTS):]
 
 
 class TestMemoryAccounting:
@@ -185,8 +174,7 @@ class TestBufferLifecycle:
 
 class TestMetricsExposure:
     def _scrape(self, registry) -> str:
-        engine = QueryEngine(registry, cache_capacity=0)
-        server = PslServer(("127.0.0.1", 0), registry, engine=engine, max_inflight=8)
+        server = PslServer(("127.0.0.1", 0), registry, max_inflight=8)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
