@@ -5,13 +5,28 @@
 PYTHON ?= python
 export PYTHONPATH := src:.
 
-.PHONY: check test test-faults bench bench-sweep bench-runtime bench-pipeline bench-serve bench-serve-smoke bench-packed bench-update bench-classify bench-classify-smoke bench-e2e-selftest serve-smoke serve-smoke-fleet update-faults
+.PHONY: check test test-faults verify-figures bench bench-sweep bench-runtime bench-pipeline bench-serve bench-serve-smoke bench-packed bench-update bench-classify bench-classify-smoke bench-e2e-selftest serve-smoke serve-smoke-fleet update-faults
 
-check: test serve-smoke serve-smoke-fleet bench-serve-smoke bench-classify-smoke bench-e2e-selftest  ## the pre-merge gate: tier-1 + both serve smokes + fast serve/classify benches + benchmark-harness self-tests
+# SHA-256 of `psl-repro all` stdout (default seed): every figure and
+# table, pinned.  Update only with a change that means to move them.
+FIGURES_SHA256 := 8fd5547fd9b0f986c5f2daaa6466349a8945e151d4deb947be7ddc1e1bf9f9c1
+
+check: test verify-figures serve-smoke serve-smoke-fleet bench-serve-smoke bench-classify-smoke bench-e2e-selftest  ## the pre-merge gate: tier-1 + pinned figures + both serve smokes + fast serve/classify benches + benchmark-harness self-tests
 	@echo "check: all gates passed"
 
 test:  ## tier-1: the full fast suite
 	$(PYTHON) -m pytest -x -q
+
+verify-figures:  ## psl-repro all, serial and --workers 2, from a fresh temp dir: each stdout must hash to FIGURES_SHA256
+	@set -e; workdir=$$(mktemp -d); trap 'rm -rf "$$workdir"' EXIT; \
+	for workers in 1 2; do \
+		(cd "$$workdir" && PYTHONPATH="$(CURDIR)/src" $(PYTHON) -m repro.analysis.cli all --workers $$workers > stdout.txt); \
+		digest=$$(sha256sum < "$$workdir/stdout.txt" | cut -d' ' -f1); \
+		if [ "$$digest" != "$(FIGURES_SHA256)" ]; then \
+			echo "verify-figures: --workers $$workers printed $$digest, expected $(FIGURES_SHA256)"; exit 1; \
+		fi; \
+		echo "verify-figures: --workers $$workers ok"; \
+	done
 
 test-faults:  ## the fault-injection suite (runtime resilience + misuse modes)
 	$(PYTHON) -m pytest tests/test_runtime_resilience.py tests/test_failure_injection.py -q
@@ -19,10 +34,10 @@ test-faults:  ## the fault-injection suite (runtime resilience + misuse modes)
 bench:  ## all benchmarks (writes benchmarks/artifacts/)
 	$(PYTHON) -m pytest benchmarks -m bench -q -s
 
-bench-sweep:  ## just the sweep-engine perf gate
+bench-sweep:  ## the Figure 5-7 sweep gates (run_sweep >= 5x per-version rebuild, workers=2 bit-identical)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_sweep.py -m bench -q -s
 
-bench-runtime:  ## the resilient-runtime overhead gate (<10% on fault-free sweeps)
+bench-runtime:  ## the resilient-runtime overhead gate (<10% over a plain classify_chunk loop on a fault-free sweep)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_runtime.py -m bench -q -s
 
 bench-pipeline:  ## the artifact-pipeline gates (warm >= 5x cold, cold overhead < 10%)

@@ -1,14 +1,13 @@
 """PERF — the resilient runtime wrapper on a fault-free sweep.
 
-The runtime layer (retries, quarantine, checkpoint hooks) must be
-free when nothing fails: the gate asserts the wrapped serial sweep
-costs < 10% over the raw pre-resilience path (``resilience=None``)
-on a >= 200-version segment.  Checkpointed overhead is measured and
-persisted for EXPERIMENTS.md but not gated — spilling partials does
-real I/O by design.
+The runtime layer (retries, quarantine, checkpoint hooks, spill
+validation) must be cheap when nothing fails: the gate asserts the
+classify engine's serial sweep over a version store costs < 10% over
+a plain serial loop of its worker (``classify_chunk``) over the same
+tasks, followed by the same merge, on a >= 200-version segment.
 
 Timings are best-of-3 to shave scheduler noise; both strategies run
-the identical task list through the identical merges, so the compared
+the identical task list through the identical merge, so the compared
 work differs only by the runtime wrapper itself.
 """
 
@@ -18,8 +17,14 @@ import time
 import pytest
 
 from benchmarks.conftest import save_artifact
+from repro.classify import (
+    ClassifyEngine,
+    ClassifyTask,
+    StoreVersions,
+    classify_chunk,
+    snapshot_chunks,
+)
 from repro.history.store import VersionStore
-from repro.sweep import SweepEngine
 
 pytestmark = pytest.mark.bench
 
@@ -56,23 +61,32 @@ def _best_of(rounds, run):
 
 def test_bench_runtime_wrapper_overhead(runtime_world, tmp_path):
     store, hostnames = runtime_world
+    versions = tuple(range(len(store)))
+    chunks = snapshot_chunks(hostnames, ())
 
-    raw_seconds, raw_counts = _best_of(
-        ROUNDS, lambda: SweepEngine(store, resilience=None).sweep_sites(hostnames)
-    )
-    wrapped_seconds, wrapped_counts = _best_of(
-        ROUNDS, lambda: SweepEngine(store).sweep_sites(hostnames)
-    )
-    checkpointed_seconds, checkpointed_counts = _best_of(
-        ROUNDS,
-        lambda: SweepEngine(
-            store, checkpoint_dir=str(tmp_path / "spill"), resume=False
-        ).sweep_sites(hostnames),
+    def engine(run_dir):
+        return ClassifyEngine(store, version_indexes=versions, run_dir=run_dir)
+
+    merger = engine(str(tmp_path / "merge"))
+
+    def raw_loop():
+        # The worker over the same tasks: no executor, no checkpoints,
+        # no spill validation — then the engine's own merge.
+        source = StoreVersions.from_store(store, versions, versions[-1])
+        spill_dir = str(tmp_path / "raw")
+        partials = [
+            classify_chunk(ClassifyTask(ref=chunk, versions=source, spill_dir=spill_dir))
+            for chunk in chunks
+        ]
+        return merger._merge(partials)
+
+    raw_seconds, raw_rows = _best_of(ROUNDS, raw_loop)
+    wrapped_seconds, wrapped_rows = _best_of(
+        ROUNDS, lambda: engine(str(tmp_path / "run")).run_chunks(chunks).rows
     )
 
-    assert wrapped_counts == raw_counts == checkpointed_counts  # same answer first
+    assert wrapped_rows == raw_rows  # same answer first
     overhead = wrapped_seconds / raw_seconds - 1.0
-    checkpoint_overhead = checkpointed_seconds / raw_seconds - 1.0
 
     save_artifact(
         "perf_runtime.txt",
@@ -81,13 +95,12 @@ def test_bench_runtime_wrapper_overhead(runtime_world, tmp_path):
                 f"date                 {datetime.date.today().isoformat()}",
                 f"versions             {len(store)}",
                 f"hostnames            {len(hostnames)}",
-                f"raw pool (bypass)    {raw_seconds:8.3f} s",
+                f"plain worker loop    {raw_seconds:8.3f} s",
                 f"resilient runtime    {wrapped_seconds:8.3f} s ({overhead:+6.1%})",
-                f"with checkpointing   {checkpointed_seconds:8.3f} s ({checkpoint_overhead:+6.1%})",
             ]
         ),
     )
     assert overhead < MAX_OVERHEAD, (
         f"runtime wrapper costs {overhead:.1%} on a fault-free sweep "
-        f"({wrapped_seconds:.3f}s vs {raw_seconds:.3f}s raw)"
+        f"({wrapped_seconds:.3f}s vs {raw_seconds:.3f}s plain loop)"
     )

@@ -1,8 +1,9 @@
-"""PERF — the delta-driven sweep engine vs. rebuild-per-version.
+"""PERF — the delta-driven Figure 5-7 sweep vs. rebuild-per-version.
 
-The acceptance bar for the sweep subsystem:
+The acceptance bar for :func:`~repro.analysis.boundaries.run_sweep`
+(the classify engine over a version store):
 
-* the delta-driven engine is >= 5x faster than rebuilding a trie and
+* the delta-driven sweep is >= 5x faster than rebuilding a trie and
   regrouping the universe at every version, measured over a >= 200
   version history segment;
 * parallel (``workers=2``) output is bit-identical to serial, and on a
@@ -24,9 +25,10 @@ import time
 import pytest
 
 from benchmarks.conftest import save_artifact
+from repro.analysis.boundaries import run_sweep
 from repro.history.store import VersionStore
 from repro.psl.list import PublicSuffixList
-from repro.sweep import SweepEngine
+from repro.webgraph.archive import Snapshot
 from repro.webgraph.sites import group_sites
 
 pytestmark = pytest.mark.bench
@@ -50,6 +52,11 @@ def sweep_world(tables_world):
     return segment, hostnames
 
 
+def _site_counts(store, hostnames, workers=1):
+    sweep = run_sweep(store, Snapshot(extra_hostnames=set(hostnames)), workers=workers)
+    return tuple(point.site_count for point in sweep.points)
+
+
 def _rebuild_per_version(store, hostnames):
     """The old strategy: fresh trie + full regroup at every version."""
     counts = []
@@ -63,7 +70,7 @@ def test_bench_delta_sweep_vs_rebuild(sweep_world):
     store, hostnames = sweep_world
 
     begin = time.perf_counter()
-    engine_counts = SweepEngine(store).sweep_sites(hostnames)
+    engine_counts = _site_counts(store, hostnames)
     engine_seconds = time.perf_counter() - begin
 
     begin = time.perf_counter()
@@ -98,11 +105,11 @@ def test_bench_parallel_scaling(sweep_world):
     store, hostnames = sweep_world
 
     begin = time.perf_counter()
-    serial = SweepEngine(store, workers=1).sweep(hostnames)
+    serial = _site_counts(store, hostnames, workers=1)
     serial_seconds = time.perf_counter() - begin
 
     begin = time.perf_counter()
-    parallel = SweepEngine(store, workers=2).sweep(hostnames)
+    parallel = _site_counts(store, hostnames, workers=2)
     parallel_seconds = time.perf_counter() - begin
 
     assert parallel == serial  # bit-identical on any hardware

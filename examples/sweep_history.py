@@ -1,27 +1,24 @@
-"""Sweep a hostname universe across a full list history.
+"""Sweep a web snapshot across a full list history.
 
 The paper's Figures 5-7 ask one question 1,142 times: "how does this
-web snapshot look under list version v?".  The sweep engine answers
-all versions in one delta-driven pass — this example runs it over the
-synthetic history and shows the two performance knobs:
+web snapshot look under list version v?".  ``run_sweep`` answers all
+versions in one delta-driven pass on the classify engine — each
+worker replays the history's rule deltas on one trie per chunk of the
+snapshot — and this example runs it over the synthetic history.
 
-* ``workers`` — process count.  ``1`` (default) runs serially; any
-  value produces bit-identical results, so parallelism is purely a
-  wall-clock decision (use > 1 only on multi-core hosts).
-* ``chunk_size`` — hostnames/request pairs per worker task.  The
-  default (4096, auto-shrunk so a parallel run has chunks to balance)
-  is right for almost everyone; shrink it for very lumpy universes.
-
-The same engine backs ``psl-repro fig5`` etc. — pass ``--workers N``
-there to get the pool without writing code.
+The one performance knob is ``workers`` (process count).  ``1``
+(default) runs serially; any value produces bit-identical results, so
+parallelism is purely a wall-clock decision (use > 1 only on
+multi-core hosts).  ``psl-repro fig5 --workers N`` is the same sweep
+without writing code.
 
 Run: ``python examples/sweep_history.py``
 """
 
 import time
 
+from repro.analysis.boundaries import run_sweep
 from repro.history.synthesis import synthesize_history
-from repro.sweep import SweepEngine
 from repro.webgraph.synthesis import SnapshotConfig, synthesize_snapshot
 
 
@@ -31,33 +28,23 @@ def main() -> None:
     snapshot = synthesize_snapshot(
         SnapshotConfig(seed=seed, harm_scale=0.1, bulk_scale=0.25)
     )
-    hostnames = snapshot.hostnames
-    pairs = tuple(snapshot.iter_request_pairs())
-    print(f"history: {len(store)} versions   universe: {len(hostnames):,} "
-          f"hostnames, {len(pairs):,} requests\n")
+    print(f"history: {len(store)} versions   universe: {len(snapshot.hostnames):,} "
+          f"hostnames, {snapshot.request_count:,} requests\n")
 
-    # The combined sweep: all three per-version series in one fan-out.
-    engine = SweepEngine(store, workers=1)  # try workers=4 on a big box
+    # All three per-version series (Figures 5, 6, 7) in one pass.
     begin = time.perf_counter()
-    series = engine.sweep(hostnames, pairs)
+    sweep = run_sweep(store, snapshot)  # try workers=4 on a big box
     elapsed = time.perf_counter() - begin
-    print(f"swept {series.version_count} versions in {elapsed:.2f}s "
-          f"({elapsed / series.version_count * 1000:.2f} ms/version amortized)\n")
+    print(f"swept {len(sweep.points)} versions in {elapsed:.2f}s "
+          f"({elapsed / len(sweep.points) * 1000:.2f} ms/version amortized)\n")
 
     print("version   date         sites   3rd-party   diff-vs-latest")
     step = max(1, len(store) // 10)
-    for version in store.versions[::step]:
-        index = version.index
-        print(f"{index:7d}   {version.date}   {series.site_counts[index]:6,d}  "
-              f"{series.third_party[index]:9,d}   {series.divergence[index]:8,d}")
-
-    # The narrow entry points answer one figure at a time; a custom
-    # chunk size just changes the fan-out granularity, never the
-    # numbers.
-    shredded = SweepEngine(store, chunk_size=512).sweep_sites(hostnames)
-    assert shredded == series.site_counts
-    print("\nchunk_size=512 reproduces the identical series — "
-          "tune freely, results never move")
+    for point in sweep.points[::step]:
+        print(f"{point.index:7d}   {point.date}   {point.site_count:6,d}  "
+              f"{point.third_party_requests:9,d}   {point.diff_vs_latest:8,d}")
+    print(f"\nthe newest list forms {sweep.additional_sites_latest_vs_first:+,d} "
+          "sites versus the oldest")
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ One forward pass over the history drives all three figures at once:
   site under the newest version.
 
 The pass is delta-driven (only hostnames under rules a delta touched
-are re-examined) and runs on the :class:`repro.sweep.SweepEngine`,
-which keeps one trie per worker across the whole history and can fan
-the universe out over a process pool — that is what makes evaluating
-all 1,142 versions against hundreds of thousands of hostnames take
-seconds instead of hours.  The per-version ``diff_vs_latest`` record
+are re-examined) and runs on :class:`repro.classify.ClassifyEngine`
+with the version-store source: each worker replays the history's rule
+deltas on one trie per chunk, and the chunks can fan out over a
+process pool — that is what makes evaluating all 1,142 versions
+against hundreds of thousands of hostnames take seconds instead of
+hours.  The per-version ``diff_vs_latest`` record
 doubles as the lookup table for Table 3's "# of missing hostnames"
 column: a repository vendoring version *v* misclassifies exactly the
 hostnames that differ between *v* and the newest list.
@@ -23,11 +24,14 @@ hostnames that differ between *v* and the newest list.
 from __future__ import annotations
 
 import datetime
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 
+from repro.classify import ClassifyEngine, ClassifyFailureReport
+from repro.classify.columnar import SNAPSHOT_CHUNK_HOSTS, snapshot_chunks
 from repro.history.store import VersionStore
-from repro.runtime import FaultPlan, RetryPolicy
-from repro.sweep import SweepEngine, SweepFailureReport
+from repro.runtime import FaultPlan
 from repro.webgraph.archive import Snapshot
 
 
@@ -49,9 +53,9 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
     total_hostnames: int
     total_requests: int
-    #: Resilience outcome of the underlying engine run; ``degraded``
-    #: means quarantined chunks were excluded from every series here.
-    failure_report: SweepFailureReport | None = None
+    #: Set when the underlying engine run quarantined chunks: their
+    #: hostnames and requests are excluded from every series here.
+    failure_report: ClassifyFailureReport | None = None
 
     @property
     def first(self) -> SweepPoint:
@@ -88,55 +92,65 @@ def run_sweep(
     snapshot: Snapshot,
     *,
     workers: int = 1,
-    chunk_size: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = True,
-    resilience: RetryPolicy | None = RetryPolicy(),
     fault_plan: FaultPlan | None = None,
     fingerprint: str | None = None,
 ) -> SweepResult:
     """Evaluate the snapshot under every version of the history.
 
-    ``workers``/``chunk_size`` tune the underlying
-    :class:`~repro.sweep.SweepEngine` fan-out; the default is the
-    serial path, which produces bit-identical results to any parallel
-    configuration.  ``checkpoint_dir`` spills completed chunks so a
+    The snapshot is cut by :func:`~repro.classify.columnar.snapshot_chunks`
+    and classified under all versions by a
+    :class:`~repro.classify.ClassifyEngine` over ``store``; any
+    ``workers`` count gives results bit-identical to the serial
+    default.  Chunks hold ``SNAPSHOT_CHUNK_HOSTS`` hostnames, fewer when
+    a snapshot would otherwise leave a worker idle — so, as the chunking
+    keys the checkpoint manifest, a small snapshot resumes only at the
+    same ``workers`` count.  ``checkpoint_dir`` is the engine's run directory, so a
     killed sweep re-run with ``resume=True`` restarts from the last
-    completed chunk; the returned result carries the engine's
-    :class:`~repro.sweep.SweepFailureReport` so callers can detect a
-    degraded (quarantined-chunk) run.  ``fingerprint`` optionally
-    identifies the (store, snapshot) universe by an already-computed
-    digest — the pipeline's sweep stage passes its own artifact
-    fingerprint here, so checkpoint manifests and pipeline artifacts
-    share one keying scheme.
+    completed chunk (without one, the run uses a temporary directory).
+    A degraded (quarantined-chunk) run carries its
+    :class:`~repro.classify.ClassifyFailureReport`.  ``fingerprint``
+    optionally identifies the (store, snapshot) universe by an
+    already-computed digest — the pipeline's sweep stage passes its own
+    artifact fingerprint here, so checkpoint manifests and pipeline
+    artifacts share one keying scheme.
     """
-    engine = SweepEngine(
-        store,
-        workers=workers,
-        chunk_size=chunk_size,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        resilience=resilience,
-        fault_plan=fault_plan,
-    )
-    series = engine.sweep(
+    # Full-size chunks, or one per worker when the universe is smaller,
+    # so a small snapshot still fans out.
+    per_worker = -(-len(snapshot.hostnames) // max(workers, 1))
+    chunks = snapshot_chunks(
         snapshot.hostnames,
-        tuple(snapshot.iter_request_pairs()),
-        universe_fingerprint=fingerprint,
+        snapshot.iter_request_pairs(),
+        max(1, min(SNAPSHOT_CHUNK_HOSTS, per_worker)),
     )
+    with (
+        nullcontext(checkpoint_dir)
+        if checkpoint_dir is not None
+        else tempfile.TemporaryDirectory(prefix="psl-sweep-")
+    ) as run_dir:
+        result = ClassifyEngine(
+            store,
+            version_indexes=range(len(store)),
+            workers=workers,
+            run_dir=run_dir,
+            resume=resume,
+            fault_plan=fault_plan,
+            fingerprint_context=fingerprint,
+        ).run_chunks(chunks)
     points = tuple(
         SweepPoint(
             index=version.index,
             date=version.date,
-            site_count=series.site_counts[position],
-            third_party_requests=series.third_party[position],
-            diff_vs_latest=series.divergence[position],
+            site_count=row.sites.sites,
+            third_party_requests=row.third_party.third_party,
+            diff_vs_latest=row.misclassified_hostnames,
         )
-        for position, version in enumerate(store.versions)
+        for version, row in zip(store.versions, result.rows)
     )
     return SweepResult(
         points=points,
         total_hostnames=len(snapshot.hostnames),
         total_requests=snapshot.request_count,
-        failure_report=engine.last_failure_report,
+        failure_report=result.failure,
     )

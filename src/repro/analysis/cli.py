@@ -30,8 +30,9 @@ from typing import Callable
 from repro.analysis import boundaries
 from repro.analysis.pipeline import TERMINALS, PaperPipeline, SweepSettings, paper_pipeline
 from repro.pipeline import ArtifactStore
+from repro.runtime import atomic_write_bytes
 
-# Sweep-engine and store knobs set per process by ``psl-repro`` flags:
+# Sweep and store knobs set per process by ``psl-repro`` flags:
 # ``--workers`` (results are bit-identical at any value),
 # ``--checkpoint-dir`` (chunk-granular spill directory),
 # ``--resume`` (reuse spills from a killed run instead of clearing),
@@ -75,9 +76,9 @@ def _paper(seed: int) -> PaperPipeline:
 def _diagnose_degraded(results: list[boundaries.SweepResult]) -> str | None:
     """One-line diagnosis when any sweep ran degraded, else None.
 
-    Persists the full failure report as JSON (next to the checkpoints
+    Persists the full failure reports as JSON (next to the checkpoints
     when ``--checkpoint-dir`` was given, else in the working directory)
-    so the quarantined chunk identities survive the process.
+    so the quarantined task ids survive the process.
     """
     import json
     import os
@@ -93,13 +94,14 @@ def _diagnose_degraded(results: list[boundaries.SweepResult]) -> str | None:
     directory = _SWEEP_CHECKPOINT_DIR or "."
     path = os.path.join(directory, "sweep_failure_report.json")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        atomic_write_bytes(path, json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"))
     except OSError:
         path = "<unwritable>"
-    chunk_ids = sorted({chunk for report in degraded for chunk in report.quarantined_chunks})
+    task_ids = sorted(
+        {failure.task_id for report in degraded for failure in report.quarantined}
+    )
     return (
-        f"sweep degraded: quarantined chunks [{', '.join(chunk_ids)}] "
+        f"sweep degraded: quarantined chunks [{', '.join(task_ids)}] "
         f"excluded from the series; failure report at {path}"
     )
 

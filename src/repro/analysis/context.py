@@ -175,6 +175,9 @@ def world_stages(
         Stage(
             name="sweep",
             build=build_sweep,
+            # 2: results come from the classify engine and carry its
+            # failure report type; re-keys stores holding older pickles.
+            version="2",
             upstream=("history", "snapshot"),
             params={
                 "workers": sweep.workers,

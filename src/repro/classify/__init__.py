@@ -8,13 +8,19 @@ chunks through multiprocess workers, each ``mmap``-ing the packed
 copy), classifying every record under a configurable set of PSL
 versions in one pass, and emitting per-version site and third-party
 count tables plus a misclassification delta versus the latest list.
+It is also the engine under Figures 5-7: given a
+:class:`~repro.history.store.VersionStore` instead of a blob, workers
+replay the store's rule deltas on one dict trie, and a web snapshot's
+hostnames and request pairs arrive as in-memory chunks
+(:func:`~repro.classify.columnar.snapshot_chunks`).
 
 Layer map (each composes an existing platform layer):
 
 * :mod:`repro.classify.columnar` — ingest: hostname-interned columnar
   chunks behind :func:`repro.net.hostname.normalize_or_reject`
   (malformed rows are counted-and-skipped, never abort a chunk), plus
-  chunk *references* small enough to pickle to workers;
+  chunk *references* small enough to pickle to workers, plus the
+  snapshot chunk planner;
 * :mod:`repro.classify.partials` — the worker: one chunk × all
   versions, spilling per-version site counters to disk delta-encoded
   so worker memory stays O(one version);
@@ -22,17 +28,21 @@ Layer map (each composes an existing platform layer):
   :class:`repro.runtime.ResilientExecutor` (retries, quarantine,
   chunk-granular checkpoint/resume) with a version-at-a-time merge;
 * :mod:`repro.classify.stage` — the :mod:`repro.pipeline` wiring that
-  makes classify outputs content-addressed, warm-reusable artifacts;
+  makes classify outputs content-addressed, warm-reusable artifacts
+  (imported from its module: it sits above :mod:`repro.analysis`,
+  whose Figure 5-7 sweep runs on this engine);
 * :mod:`repro.classify.cli` — ``psl-classify``, including the
   ``--frontier`` scale harness.
 """
 
 from repro.classify.columnar import (
+    SNAPSHOT_CHUNK_HOSTS,
     ColumnarChunk,
     SpooledChunkRef,
     SyntheticChunkRef,
     columnar_chunk,
     iter_columnar_chunks,
+    snapshot_chunks,
     spool_chunks,
 )
 from repro.classify.engine import (
@@ -42,25 +52,33 @@ from repro.classify.engine import (
     VersionRow,
     select_version_indexes,
 )
-from repro.classify.partials import ChunkPartial, ClassifyTask, SpillRef, classify_chunk
-from repro.classify.stage import classify_pipeline, classify_stage
+from repro.classify.partials import (
+    ChunkPartial,
+    ClassifyTask,
+    PackedVersions,
+    SpillRef,
+    StoreVersions,
+    classify_chunk,
+)
 
 __all__ = [
+    "SNAPSHOT_CHUNK_HOSTS",
     "ChunkPartial",
     "ClassifyEngine",
     "ClassifyFailureReport",
     "ClassifyResult",
     "ClassifyTask",
     "ColumnarChunk",
+    "PackedVersions",
     "SpillRef",
     "SpooledChunkRef",
+    "StoreVersions",
     "SyntheticChunkRef",
     "VersionRow",
     "classify_chunk",
-    "classify_pipeline",
-    "classify_stage",
     "columnar_chunk",
     "iter_columnar_chunks",
     "select_version_indexes",
+    "snapshot_chunks",
     "spool_chunks",
 ]

@@ -27,7 +27,9 @@ Workers receive chunk *references*, not chunks: a
 deterministic generator (:mod:`repro.webgraph.requestlog`) so the task
 pickle is a few hundred bytes at any scale; a :class:`SpooledChunkRef`
 names a digest-verified pickle spooled by the parent for arbitrary
-streams.
+streams.  A web snapshot's universes (Figures 5-7) are cut by
+:func:`snapshot_chunks` into in-memory chunks that travel as their own
+reference.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class ColumnarChunk:
     @property
     def task_id(self) -> str:
         return f"classify-{self.index}"
+
+    def load(self) -> "ColumnarChunk":
+        """An in-memory chunk is its own reference."""
+        return self
 
     def __len__(self) -> int:
         return self.records
@@ -142,8 +148,7 @@ def iter_columnar_chunks(
 
     Every record lands in exactly one chunk and all downstream merges
     are commutative sums, so results are bit-identical for any
-    ``chunk_records`` (the property tests pin this down, mirroring
-    :mod:`repro.sweep.chunks`).
+    ``chunk_records`` (the property tests pin this down).
     """
     if chunk_records < 1:
         raise ValueError("chunk_records must be positive")
@@ -153,6 +158,71 @@ def iter_columnar_chunks(
         if not batch:
             return
         yield columnar_chunk(index, batch)
+
+
+#: Distinct hostnames per :func:`snapshot_chunks` chunk.  Each chunk
+#: of a version-store run builds two dict tries (its first version and
+#: the baseline), so the size trades per-chunk setup time against peak
+#: memory.
+SNAPSHOT_CHUNK_HOSTS = 16_384
+
+
+def snapshot_chunks(
+    hostnames: Iterable[str],
+    pairs: Iterable[tuple[str, str]],
+    hosts_per_chunk: int = SNAPSHOT_CHUNK_HOSTS,
+) -> list[ColumnarChunk]:
+    """Cut a web snapshot's hostname and request universes into chunks.
+
+    Distinct hostnames are dealt out in first-seen order, each owned by
+    exactly one chunk at occurrence 1, so the merged site counter counts
+    distinct hostnames (Figures 5 and 7).  Each request pair lands in
+    the chunk owning its page host; a request host owned by another
+    chunk joins this one at occurrence 0 — walked for third-party
+    counting (Figure 6), never counted as a hostname or site member.
+
+    Hostnames are used exactly as given: a snapshot's universe is
+    already normalized, so there is no ingest gate and no skipped rows.
+    """
+    if hosts_per_chunk < 1:
+        raise ValueError("hosts_per_chunk must be positive")
+    slot: dict[str, tuple[int, int]] = {}
+    hosts: list[list[str]] = []
+    for host in hostnames:
+        if host not in slot:
+            if not hosts or len(hosts[-1]) == hosts_per_chunk:
+                hosts.append([])
+            slot[host] = (len(hosts) - 1, len(hosts[-1]))
+            hosts[-1].append(host)
+    owned = [len(chunk_hosts) for chunk_hosts in hosts]
+    foreign: list[dict[str, int]] = [{} for _ in hosts]
+    pages = [array("I") for _ in hosts]
+    requests = [array("I") for _ in hosts]
+    for page, request in pairs:
+        try:
+            chunk, page_index = slot[page]
+        except KeyError:
+            raise ValueError(f"page host {page!r} is not in the hostname universe") from None
+        owner, request_index = slot.get(request, (-1, 0))
+        if owner != chunk:
+            request_index = foreign[chunk].get(request, -1)
+            if request_index < 0:
+                request_index = foreign[chunk][request] = len(hosts[chunk])
+                hosts[chunk].append(request)
+        pages[chunk].append(page_index)
+        requests[chunk].append(request_index)
+    return [
+        ColumnarChunk(
+            index=index,
+            hosts=tuple(chunk_hosts),
+            occurrences=array("Q", [1] * owned[index] + [0] * len(foreign[index])),
+            pages=pages[index],
+            requests=requests[index],
+            skipped_hosts=0,
+            skipped_pairs=0,
+        )
+        for index, chunk_hosts in enumerate(hosts)
+    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,17 +1,23 @@
 """The classify driver: fan-out, resilience, and the global merge.
 
-:class:`ClassifyEngine` turns a request-log source into per-version
-count tables by composing the platform layers:
+:class:`ClassifyEngine` is the one version-axis engine: it turns a
+request-log source (``psl-classify``) or a web snapshot's universes
+(the Figure 5-7 sweep) into per-version count tables by composing the
+platform layers:
 
-* chunk planning mirrors :mod:`repro.sweep.chunks` — fixed-size chunks
-  with stable task ids, every merge a commutative sum, so results are
-  bit-identical for any chunk size or worker count;
+* the version source is chosen by the engine's input type — a packed
+  ``PSLPAK1`` blob path (workers ``mmap`` it) or a
+  :class:`~repro.history.store.VersionStore` (workers replay its rule
+  deltas on one dict trie);
+* chunk planning cuts fixed-size chunks with stable task ids, every
+  merge a commutative sum, so results are bit-identical for any chunk
+  size or worker count;
 * execution is :class:`repro.runtime.ResilientExecutor` — bounded
   retries, ``BrokenProcessPool`` recovery, poisoned-chunk quarantine,
   and chunk-granular checkpoint/resume keyed by a manifest fingerprint
-  covering the source, the selected versions' packed-trie
-  fingerprints, and the chunking (a resumed run can only reuse results
-  bit-identical to what it would compute itself);
+  covering the source, the selected versions' rule-set fingerprints,
+  and the chunking (a resumed run can only reuse results bit-identical
+  to what it would compute itself);
 * the merge replays each chunk's delta-encoded spill against **one**
   global site counter, version at a time, so driver memory is O(one
   version's site universe) regardless of how many versions ran.
@@ -24,19 +30,29 @@ differential tests assert bit-equality against those serial oracles.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.classify.columnar import SpooledChunkRef, SyntheticChunkRef, spool_chunks
+from repro.classify.columnar import (
+    ColumnarChunk,
+    SpooledChunkRef,
+    SyntheticChunkRef,
+    spool_chunks,
+)
 from repro.classify.partials import (
     ChunkPartial,
     ClassifyTask,
+    PackedVersions,
     SpillReader,
+    StoreVersions,
     classify_chunk,
     partial_validator,
 )
+from repro.history.store import VersionStore
 from repro.psl.packed import PackedHistory
 from repro.runtime import (
     CheckpointStore,
@@ -45,6 +61,7 @@ from repro.runtime import (
     ResilientExecutor,
     RetryPolicy,
     TaskFailure,
+    remove_temp_files,
 )
 from repro.webgraph.requestlog import RequestLogConfig, block_count, record_count
 from repro.webgraph.stream import StreamedSiteCounts, StreamedThirdPartyCounts
@@ -197,6 +214,10 @@ class ClassifyResult:
 class ClassifyEngine:
     """Runs one classify job end to end inside a run directory.
 
+    ``history`` is a packed blob path or a
+    :class:`~repro.history.store.VersionStore`; either way
+    ``version_indexes`` and ``baseline`` are raw indexes into it.
+
     The run directory owns the mutable state — ``checkpoints/`` (the
     resume ledger), ``spills/`` (per-chunk version tables), and
     ``spool/`` (columnarized generic streams) — so killing the process
@@ -205,7 +226,7 @@ class ClassifyEngine:
 
     def __init__(
         self,
-        packed_path: str,
+        history: str | VersionStore,
         *,
         version_indexes: Sequence[int],
         baseline: int = -1,
@@ -218,11 +239,24 @@ class ClassifyEngine:
     ) -> None:
         if not version_indexes:
             raise ValueError("version_indexes must not be empty")
-        self._packed_path = os.path.abspath(packed_path)
-        self._history = PackedHistory.load(self._packed_path)
-        total = len(self._history)
+        store = history if isinstance(history, VersionStore) else None
+        if store is None:
+            packed_path = os.path.abspath(history)
+            packed = PackedHistory.load(packed_path)
+            total = len(packed)
+        else:
+            total = len(store)
+        if total == 0:
+            raise ValueError("history has no versions")
         self._versions = tuple(sorted({range(total)[i] for i in version_indexes}))
         self._baseline = range(total)[baseline]
+        self._source: PackedVersions | StoreVersions
+        if store is None:
+            self._source = PackedVersions(packed_path, self._versions, self._baseline)
+            self._fingerprint = packed.fingerprint
+        else:
+            self._source = StoreVersions.from_store(store, self._versions, self._baseline)
+            self._fingerprint = lambda index: format(store.version(index).set_digest, "032x")
         self._workers = workers
         self._run_dir = run_dir
         self._resume = resume
@@ -293,6 +327,20 @@ class ClassifyEngine:
         }
         return self._run(list(refs), source)
 
+    def run_chunks(self, chunks: Sequence[ColumnarChunk]) -> ClassifyResult:
+        """Classify in-memory chunks — a web snapshot's universes cut
+        by :func:`~repro.classify.columnar.snapshot_chunks`."""
+        source = {
+            "kind": "chunks",
+            "chunks": [
+                hashlib.sha256(
+                    pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
+                ).hexdigest()
+                for chunk in chunks
+            ],
+        }
+        return self._run(list(chunks), source)
+
     # -- the run --------------------------------------------------------------
 
     def _manifest(self, source: dict[str, Any]) -> dict[str, Any]:
@@ -301,8 +349,8 @@ class ClassifyEngine:
             "source": source,
             "versions": list(self._versions),
             "baseline": self._baseline,
-            "tries": [self._history.fingerprint(i) for i in self._versions],
-            "baseline_trie": self._history.fingerprint(self._baseline),
+            "tries": [self._fingerprint(i) for i in self._versions],
+            "baseline_trie": self._fingerprint(self._baseline),
         }
         if self._context is not None:
             material["context"] = self._context
@@ -310,21 +358,18 @@ class ClassifyEngine:
 
     def _run(
         self,
-        refs: Sequence[SyntheticChunkRef | SpooledChunkRef],
+        refs: Sequence[ColumnarChunk | SyntheticChunkRef | SpooledChunkRef],
         source: dict[str, Any],
     ) -> ClassifyResult:
         started = time.perf_counter()
         checkpoint = CheckpointStore(os.path.join(self._run_dir, "checkpoints"))
         checkpoint.reconcile(self._manifest(source), resume=self._resume)
         spill_dir = os.path.join(self._run_dir, "spills")
+        # The run owns its directory: reclaim what killed writes left.
+        remove_temp_files(spill_dir)
+        remove_temp_files(os.path.join(self._run_dir, "spool"))
         tasks = [
-            ClassifyTask(
-                ref=ref,
-                packed_path=self._packed_path,
-                version_indexes=self._versions,
-                baseline_index=self._baseline,
-                spill_dir=spill_dir,
-            )
+            ClassifyTask(ref=ref, versions=self._source, spill_dir=spill_dir)
             for ref in refs
         ]
         executor = ResilientExecutor(
@@ -363,6 +408,9 @@ class ClassifyEngine:
         One global ``site -> occurrences`` counter is carried through
         the version axis; each version applies every chunk's delta,
         drops zeroed sites, and snapshots the distinct/largest numbers.
+        The largest site is tracked through the deltas and rescanned
+        only when a site at the maximum shrinks — a full ``max`` per
+        version would cost O(sites) x versions.
         """
         hostnames = sum(partial.hostnames for partial in partials)
         skipped_hosts = sum(partial.skipped_hosts for partial in partials)
@@ -370,25 +418,34 @@ class ClassifyEngine:
         total_pairs = sum(partial.total_pairs for partial in partials)
         readers = [SpillReader(partial.spill.path) for partial in partials]
         counter: dict[str, int] = {}
+        largest = 0
         rows: list[VersionRow] = []
         try:
             for slot, version_index in enumerate(self._versions):
                 get = counter.get
+                shrunk_largest = False
                 for reader in readers:
                     for site, delta in reader.read(slot).items():
-                        value = get(site, 0) + delta
+                        old = get(site, 0)
+                        value = old + delta
                         if value:
                             counter[site] = value
                         else:
                             del counter[site]
+                        if value > largest:
+                            largest = value
+                        elif old == largest and delta < 0:
+                            shrunk_largest = True
+                if shrunk_largest:
+                    largest = max(counter.values(), default=0)
                 rows.append(
                     VersionRow(
                         version_index=version_index,
-                        trie_fingerprint=self._history.fingerprint(version_index),
+                        trie_fingerprint=self._fingerprint(version_index),
                         sites=StreamedSiteCounts(
                             hostnames=hostnames,
                             sites=len(counter),
-                            largest_site=max(counter.values(), default=0),
+                            largest_site=largest,
                             skipped=skipped_hosts,
                         ),
                         third_party=StreamedThirdPartyCounts(

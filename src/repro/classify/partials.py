@@ -2,12 +2,16 @@
 
 Each worker task classifies every distinct hostname of one
 :class:`~repro.classify.columnar.ColumnarChunk` under every selected
-PSL version by walking the packed trie
-(:meth:`repro.psl.packed.PackedHistory.trie` /
-:func:`repro.webgraph.sites.site_for_reversed` — the same site
-function every other layer uses).  The packed blob is opened once per
-*process* and ``mmap``-ed, so a pool of N workers shares one physical
-copy of the whole history.
+PSL version with :func:`repro.webgraph.sites.site_for_reversed` (the
+same site function every other layer uses).  The tries come from one
+of two version sources, chosen by the engine's input type:
+
+* :class:`PackedVersions` — a ``PSLPAK1`` blob opened once per
+  *process* and ``mmap``-ed, so a pool of N workers shares one
+  physical copy of the whole history (``psl-classify``);
+* :class:`StoreVersions` — a :class:`~repro.history.store.VersionStore`'s
+  rule deltas replayed forward on one dict trie (the Figure 5-7
+  sweep, :func:`repro.analysis.boundaries.run_sweep`).
 
 **Why a spill file.**  The merge needs per-version site multisets
 (distinct-site and largest-site numbers are global properties), but a
@@ -38,10 +42,15 @@ import pickle
 import struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 from repro.classify.columnar import ColumnarChunk, SpooledChunkRef, SyntheticChunkRef
-from repro.psl.packed import PackedHistory
+from repro.history.store import VersionStore
+from repro.psl.diff import RuleDelta
+from repro.psl.packed import PackedHistory, PackedTrie
+from repro.psl.rules import Rule
+from repro.psl.trie import SuffixTrie
+from repro.runtime.checkpoint import AtomicFile
 from repro.webgraph.sites import site_for_reversed
 
 _SPILL_MAGIC = b"PSLCLSP1"
@@ -94,18 +103,16 @@ class ChunkPartial:
 
 @dataclass(frozen=True, slots=True)
 class ClassifyTask:
-    """Everything one worker invocation needs, in a tiny pickle.
+    """Everything one worker invocation needs, in a small pickle.
 
-    ``packed_path`` is the on-disk ``PSLPAK1`` blob every worker
-    ``mmap``s; ``version_indexes`` are resolved, ascending raw history
-    indexes; ``baseline_index`` is the latest-list reference the
+    ``versions`` is the version source — a :class:`PackedVersions` or a
+    :class:`StoreVersions` — naming the selected versions (ascending
+    raw history indexes) and the baseline (latest-list) version the
     misclassification delta is measured against.
     """
 
-    ref: SyntheticChunkRef | SpooledChunkRef
-    packed_path: str
-    version_indexes: tuple[int, ...]
-    baseline_index: int
+    ref: ColumnarChunk | SyntheticChunkRef | SpooledChunkRef
+    versions: "PackedVersions | StoreVersions"
     spill_dir: str
 
     @property
@@ -118,16 +125,16 @@ class SpillWriter:
 
     Layout: magic, u32 version count, (count + 1) u64 blob offsets,
     then the concatenated pickle blobs.  Offsets are backfilled after
-    the last blob and the file lands via ``os.replace``, so readers
-    only ever see complete spills.
+    the last blob and the file lands through
+    :class:`~repro.runtime.checkpoint.AtomicFile`, so readers only ever
+    see complete spills.
     """
 
     def __init__(self, path: str, versions: int) -> None:
-        self._path = path
-        self._temp = f"{path}.tmp"
+        self._file = AtomicFile(path)
+        self._handle: BinaryIO = self._file.handle
         self._versions = versions
         self._offsets: list[int] = []
-        self._handle: BinaryIO = open(self._temp, "wb")
         self._handle.write(_HEADER.pack(_SPILL_MAGIC, versions))
         self._handle.write(b"\0" * _OFFSET.size * (versions + 1))
 
@@ -142,27 +149,20 @@ class SpillWriter:
             raise ValueError(
                 f"spill holds {len(self._offsets)} versions, expected {self._versions}"
             )
-        self._offsets.append(self._handle.tell())
+        nbytes = self._handle.tell()
+        self._offsets.append(nbytes)
         self._handle.seek(_HEADER.size)
         for offset in self._offsets:
             self._handle.write(_OFFSET.pack(offset))
-        self._handle.close()
+        self._handle.seek(0)
         digest = hashlib.sha256()
-        with open(self._temp, "rb") as handle:
-            for block in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(block)
-        nbytes = os.path.getsize(self._temp)
-        os.replace(self._temp, self._path)
-        return SpillRef(path=self._path, nbytes=nbytes, digest=digest.hexdigest())
+        for block in iter(lambda: self._handle.read(1 << 20), b""):
+            digest.update(block)
+        self._file.commit()
+        return SpillRef(path=self._file.path, nbytes=nbytes, digest=digest.hexdigest())
 
     def abort(self) -> None:
-        try:
-            self._handle.close()
-        finally:
-            try:
-                os.unlink(self._temp)
-            except OSError:
-                pass
+        self._file.discard()
 
 
 class SpillReader:
@@ -256,6 +256,81 @@ def _version_plan(
     return plan
 
 
+#: One version step as the worker sees it: the slot's trie (None when
+#: nothing changed, so there is nothing to walk) and the changed rule
+#: prefixes (None for slot 0, the full walk).
+_Step = tuple[PackedTrie | SuffixTrie | None, frozenset[tuple[str, ...]] | None]
+
+
+@dataclass(frozen=True, slots=True)
+class PackedVersions:
+    """Versions read from a ``PSLPAK1`` blob every worker ``mmap``s.
+
+    The plan comes from diffing consecutive selected versions' rules;
+    each slot's trie is a zero-copy view (``history.trie(i)``).
+    """
+
+    path: str
+    version_indexes: tuple[int, ...]
+    baseline_index: int
+
+    def baseline_trie(self) -> PackedTrie:
+        return _history(self.path).trie(self.baseline_index)
+
+    def steps(self) -> Iterator[_Step]:
+        history = _history(self.path)
+        plan = _version_plan(self.path, history, self.version_indexes)
+        for version_index, prefixes in zip(self.version_indexes, plan):
+            trie = history.trie(version_index) if prefixes is None or prefixes else None
+            yield trie, prefixes
+
+
+@dataclass(frozen=True, slots=True)
+class StoreVersions:
+    """Versions replayed from a :class:`VersionStore` on one dict trie.
+
+    The task carries the first selected version's rules and one
+    :class:`RuleDelta` per later slot (composed across unselected
+    versions); the worker applies them forward in place on a single
+    :class:`SuffixTrie`.  Packing a whole history into a blob just to
+    sweep it would cost far more than replaying its deltas.
+    """
+
+    initial_rules: frozenset[Rule]
+    deltas: tuple[RuleDelta, ...]
+    baseline_rules: frozenset[Rule]
+    version_indexes: tuple[int, ...]
+    baseline_index: int
+
+    @classmethod
+    def from_store(
+        cls, store: VersionStore, version_indexes: tuple[int, ...], baseline_index: int
+    ) -> "StoreVersions":
+        return cls(
+            initial_rules=store.rules_at(version_indexes[0]),
+            deltas=tuple(
+                store.delta_between(older, newer)
+                for older, newer in zip(version_indexes, version_indexes[1:])
+            ),
+            baseline_rules=store.rules_at(baseline_index),
+            version_indexes=version_indexes,
+            baseline_index=baseline_index,
+        )
+
+    def baseline_trie(self) -> SuffixTrie:
+        return SuffixTrie(self.baseline_rules)
+
+    def steps(self) -> Iterator[_Step]:
+        trie = SuffixTrie(self.initial_rules)
+        yield trie, None
+        for delta in self.deltas:
+            trie.apply_delta(delta)
+            prefixes = frozenset(
+                _rule_prefix(rule.name) for rule in delta.added | delta.removed
+            )
+            yield (trie if prefixes else None), prefixes
+
+
 class _ChunkColumns:
     """Per-chunk lookup structures for the incremental version walk."""
 
@@ -299,28 +374,26 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
 
     Only the baseline and the first selected version pay a full
     ``hosts`` trie walk; every later version is **incremental**: the
-    run's version plan names the rule prefixes that changed since the
+    version source names the rule prefixes that changed since the
     previous selected version, only hosts under those prefixes are
     re-walked, and the third-party / misclassification / spill numbers
     are updated from the actual site flips alone.  A typical version
     step changes a few dozen rules, so per-version cost is O(changed),
-    not O(hosts) — the same delta philosophy the sweep engine applies
-    across versions, pushed into the worker.
+    not O(hosts) — which is what keeps a 1,142-version sweep cheap.
     """
     chunk = task.ref.load()
-    history = _history(task.packed_path)
-    plan = _version_plan(task.packed_path, history, task.version_indexes)
+    versions = task.versions
     columns = _ChunkColumns(chunk)
     rlabels = columns.rlabels
     occurrences = chunk.occurrences
     pages = chunk.pages
     requests = chunk.requests
 
-    baseline_trie = history.trie(task.baseline_index)
+    baseline_trie = versions.baseline_trie()
     base_sites = [site_for_reversed(baseline_trie, labels) for labels in rlabels]
     os.makedirs(task.spill_dir, exist_ok=True)
     writer = SpillWriter(
-        os.path.join(task.spill_dir, f"{task.task_id}.spill"), len(task.version_indexes)
+        os.path.join(task.spill_dir, f"{task.task_id}.spill"), len(versions.version_indexes)
     )
     third_party: list[int] = []
     misclassified: list[int] = []
@@ -328,23 +401,25 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
     current_tp = 0
     current_mis = 0
     try:
-        for slot, version_index in enumerate(task.version_indexes):
-            prefixes = plan[slot]
+        for version_index, (trie, prefixes) in zip(versions.version_indexes, versions.steps()):
             if prefixes is None:
                 # Full walk (first selected version), full counters.
-                if version_index == task.baseline_index:
+                if version_index == versions.baseline_index:
                     sites = base_sites.copy()
                     current_mis = 0
                 else:
-                    trie = history.trie(version_index)
                     sites = [site_for_reversed(trie, labels) for labels in rlabels]
                     current_mis = sum(
                         compress(occurrences, map(operator.ne, sites, base_sites))
                     )
+                # Zero-occurrence hosts (a snapshot chunk's foreign
+                # request hosts) are walked for third-party counting
+                # only; they never enter a site counter.
                 full: dict[str, int] = {}
                 get = full.get
                 for site, occurrence in zip(sites, occurrences):
-                    full[site] = get(site, 0) + occurrence
+                    if occurrence:
+                        full[site] = get(site, 0) + occurrence
                 writer.add(full)
                 site_of = sites.__getitem__
                 current_tp = sum(
@@ -352,8 +427,7 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
                 )
             else:
                 changes: dict[int, str] = {}
-                if prefixes:
-                    trie = history.trie(version_index)
+                if trie is not None:
                     for i in columns.candidates(prefixes):
                         new_site = site_for_reversed(trie, rlabels[i])
                         if new_site != sites[i]:

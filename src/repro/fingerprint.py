@@ -1,8 +1,8 @@
 """Canonical fingerprinting: one keying scheme for every durable cache.
 
-Pipeline artifacts (:mod:`repro.pipeline`), sweep checkpoint manifests
-(:mod:`repro.runtime.checkpoint`), and the sweep engine's resume keys
-(:mod:`repro.sweep.engine`) all derive their identities here, so two
+Pipeline artifacts (:mod:`repro.pipeline`) and the checkpoint manifests
+that key classify resumes (:mod:`repro.runtime.checkpoint`,
+:mod:`repro.classify.engine`) all derive their identities here, so two
 layers can never disagree about what "the same run" means: the caller
 describes the run as plain data (dicts, dataclasses, dates, sets, …),
 :func:`fingerprint` canonicalizes it to sorted-key JSON and hashes it

@@ -10,9 +10,14 @@ Two layers, one address space:
   digest, which is what lets a second *process* reuse the first one's
   work.
 
-Writes use the same atomic-replace discipline as the sweep checkpoints
-(:func:`repro.runtime.checkpoint.atomic_write_bytes`): a kill mid-write
-leaves a temp file, never a half artifact.  Loads verify the payload
+Writes use the same atomic-replace discipline as the classify
+checkpoints (:func:`repro.runtime.checkpoint.atomic_write_bytes`): a
+kill mid-write leaves a ``.<name>.<random>.tmp`` file beside the
+target, never a half artifact.  The store never removes those temp
+files itself, because several processes may share one directory and
+another one's temp file may be a write in flight; after a crash,
+delete the stale ones by hand (``find DIR -name '.*.tmp' -delete``
+while nothing is writing).  Loads verify the payload
 digest against the meta sidecar before unpickling — a truncated or
 bit-flipped artifact reads as *absent* (and is recomputed), never
 trusted.

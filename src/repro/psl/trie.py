@@ -68,9 +68,9 @@ class SuffixTrie:
         """Insert a rule; re-inserting an identical rule is a no-op.
 
         Labels are interned on the way in: hostname labels interned by
-        the sweep engine's chunk preparation then hit the children
-        dictionaries with pointer-equal keys, which keeps the lookup
-        hot path on the fast identity compare.
+        :func:`~repro.webgraph.sites.reversed_labels_of` then hit the
+        children dictionaries with pointer-equal keys, which keeps the
+        lookup hot path on the fast identity compare.
         """
         node = self._root
         for label in rule.labels:

@@ -1,4 +1,4 @@
-"""The resilient task-execution layer under the sweep engine.
+"""The resilient task-execution layer under the classify engine.
 
 Long longitudinal jobs (the paper's 498M-request × 1,142-version
 replay) live or die on surviving partial failure; this package is the
@@ -15,19 +15,29 @@ Public API:
   :class:`~repro.runtime.executor.TaskFailure` — its knobs and outcome;
 * :class:`~repro.runtime.checkpoint.CheckpointStore` — chunk-granular
   result spills for checkpoint/resume;
+* :class:`~repro.runtime.checkpoint.AtomicFile` /
+  :func:`~repro.runtime.checkpoint.atomic_write_bytes` — the one
+  crash-safe write primitive every durable format goes through, and
+  :func:`~repro.runtime.checkpoint.remove_temp_files`, which reclaims
+  the temp files of killed writes in a directory one run owns;
 * :mod:`repro.runtime.faults` — the deterministic fault-injection
   harness (:class:`~repro.runtime.faults.FaultPlan`) the tests drive
   every failure mode with.
 """
 
-from repro.runtime.checkpoint import MISSING, CheckpointStore, atomic_write_bytes
+from repro.runtime.checkpoint import (
+    MISSING,
+    AtomicFile,
+    CheckpointStore,
+    atomic_write_bytes,
+    remove_temp_files,
+)
 from repro.runtime.executor import (
     CorruptResultError,
     ExecutionReport,
     ResilientExecutor,
     RetryPolicy,
     TaskFailure,
-    merge_reports,
 )
 from repro.runtime.faults import (
     ALWAYS,
@@ -42,6 +52,7 @@ from repro.runtime.faults import (
 __all__ = [
     "ALWAYS",
     "MISSING",
+    "AtomicFile",
     "CheckpointStore",
     "CorruptResult",
     "CorruptResultError",
@@ -55,5 +66,5 @@ __all__ = [
     "TaskFailure",
     "atomic_write_bytes",
     "invoke_with_faults",
-    "merge_reports",
+    "remove_temp_files",
 ]

@@ -4,7 +4,7 @@
 crash raises ``BrokenProcessPool`` and discards every completed
 partial.  :class:`ResilientExecutor` wraps the pool with the failure
 handling a long longitudinal job needs, while keeping the invariant
-the sweep engine is built on — **a fault-free run returns exactly what
+the classify engine is built on — **a fault-free run returns exactly what
 a plain serial map over the tasks would**, in task order.
 
 Per task, the state machine is::
@@ -112,18 +112,6 @@ class ExecutionReport:
     @property
     def quarantined_ids(self) -> tuple[str, ...]:
         return tuple(failure.task_id for failure in self.quarantined)
-
-
-def merge_reports(first: ExecutionReport, second: ExecutionReport) -> ExecutionReport:
-    """Combine two runs' reports (the sweep runs hosts then pairs)."""
-    return ExecutionReport(
-        total=first.total + second.total,
-        executed=first.executed + second.executed,
-        resumed=first.resumed + second.resumed,
-        retried=first.retried + second.retried,
-        quarantined=first.quarantined + second.quarantined,
-        pool_rebuilds=first.pool_rebuilds + second.pool_rebuilds,
-    )
 
 
 class _RunState:

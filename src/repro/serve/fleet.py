@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.history.store import VersionStore
 from repro.psl.diff import RuleDelta
 from repro.psl.packed import PackedHistory
+from repro.runtime.checkpoint import atomic_write_bytes
 from repro.serve.core import DEFAULT_MAX_INFLIGHT, Reject, RequestCore
 from repro.serve.http import PslServer, serve_forever
 from repro.serve.metrics import MetricsRegistry
@@ -130,12 +131,7 @@ class EpochBus:
     # -- low-level plumbing --------------------------------------------------
 
     def _write_epoch(self, epoch: int) -> None:
-        tmp = self._epoch_path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as handle:
-            handle.write(str(epoch))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self._epoch_path)
+        atomic_write_bytes(self._epoch_path, str(epoch).encode("ascii"))
 
     def current_epoch(self) -> int:
         try:
@@ -153,12 +149,7 @@ class EpochBus:
             event = dict(event, epoch=epoch)
             if blob is not None:
                 blob_name = f"{epoch}.bin"
-                blob_tmp = os.path.join(self.blob_dir, blob_name + ".tmp")
-                with open(blob_tmp, "wb") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(blob_tmp, os.path.join(self.blob_dir, blob_name))
+                atomic_write_bytes(os.path.join(self.blob_dir, blob_name), blob)
                 event["blob"] = blob_name
             with open(self._events_path, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -249,15 +240,10 @@ class EpochBus:
     # -- heartbeats ----------------------------------------------------------
 
     def write_heartbeat(self, worker_id: int, payload: dict) -> None:
+        # A worker's beat thread and its final main-thread heartbeat can
+        # overlap; AtomicFile's per-call temp name keeps them apart.
         path = os.path.join(self.worker_dir, f"{worker_id}.json")
-        # The tmp name must be unique per *call*, not just per process:
-        # a worker's beat thread and its final main-thread heartbeat can
-        # overlap, and two calls sharing one tmp path race each other's
-        # os.replace into FileNotFoundError.
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+        atomic_write_bytes(path, json.dumps(payload).encode("utf-8"))
 
     def read_heartbeats(self) -> list[dict]:
         rows: list[dict] = []

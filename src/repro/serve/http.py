@@ -115,7 +115,12 @@ class PslServer(ThreadingHTTPServer):
         if listen_socket is not None:
             # Pre-fork parent-fd mode: adopt the already-listening
             # socket the supervisor bound before forking; every worker
-            # accepts on the same fd and the kernel distributes.
+            # accepts on the same fd and the kernel distributes.  Each
+            # connection wakes every worker's selector but only one
+            # accept wins: non-blocking, the losers' accept fails and
+            # returns to the loop instead of parking in accept(), where
+            # shutdown() would wait on them forever.
+            listen_socket.setblocking(False)
             self.socket.close()
             self.socket = listen_socket
             self.server_address = listen_socket.getsockname()

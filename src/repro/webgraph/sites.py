@@ -7,13 +7,12 @@ suffix under a given PSL version and group hostnames into sites
 * :func:`group_sites` — the straightforward one-shot grouping used for
   a single list version;
 * :class:`IncrementalGrouper` — maintains the grouping *across* list
-  versions by re-examining only hostnames under rules a delta touched.
-  This is what makes sweeping all 1,142 versions tractable: a typical
-  delta touches a handful of rules covering a tiny fraction of the
-  hostname universe.
+  versions by re-examining only hostnames under rules a delta touched
+  (a typical delta touches a handful of rules covering a tiny fraction
+  of the hostname universe).
 
-Both share one site function so the incremental path is exactly as
-correct as the one-shot path (the property tests cross-check them).
+Both share one site function with the classify engine's delta-driven
+workers, which the property tests cross-check against both of them.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ def reversed_labels_of(hostname: str) -> tuple[str, ...]:
     """A hostname's labels, reversed and interned.
 
     Interning matches :meth:`SuffixTrie.insert`, so trie-child probes
-    during lookups compare pointer-equal keys.  The sweep engine ships
-    these tuples to its workers instead of raw hostnames.
+    during lookups compare pointer-equal keys.
     """
     labels = hostname.split(".")
     labels.reverse()
@@ -125,22 +123,13 @@ class IncrementalGrouper:
     that could plausibly be affected by the delta, not the universe.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[Rule],
-        hostnames: Iterable[str],
-        *,
-        prepared: Mapping[str, tuple[str, ...]] | None = None,
-    ) -> None:
+    def __init__(self, rules: Iterable[Rule], hostnames: Iterable[str]) -> None:
         self._trie = SuffixTrie(rules)
         # Reversed, interned label tuples — the representation every
-        # lookup wants.  ``prepared`` lets the sweep engine hand over
-        # tuples it already split once for the whole universe.
-        self._rlabels: dict[str, tuple[str, ...]] = (
-            dict(prepared)
-            if prepared is not None
-            else {host: reversed_labels_of(host) for host in hostnames}
-        )
+        # lookup wants.
+        self._rlabels: dict[str, tuple[str, ...]] = {
+            host: reversed_labels_of(host) for host in hostnames
+        }
         # Index: dotted suffix -> hostnames having that suffix.  A rule
         # change at base B re-examines exactly index[B].
         self._by_suffix: dict[str, list[str]] = {}
@@ -171,15 +160,6 @@ class IncrementalGrouper:
         """Number of hostnames being tracked."""
         return len(self._assignment)
 
-    @property
-    def site_sizes(self) -> Mapping[str, int]:
-        """Live site -> hostname-count mapping (do not mutate).
-
-        The sweep engine's workers snapshot this as their per-chunk
-        partial counter at version zero.
-        """
-        return self._site_sizes
-
     def metrics(self) -> SiteMetrics:
         """Current :class:`SiteMetrics`."""
         return SiteMetrics(site_count=self.site_count, hostname_count=self.hostname_count)
@@ -195,8 +175,7 @@ class IncrementalGrouper:
     def apply_detailed(self, delta: RuleDelta) -> list[tuple[str, str, str]]:
         """Apply a delta; returns ``(hostname, old site, new site)`` rows.
 
-        The detailed form is what the sweep engine's merge step needs:
-        old/new pairs convert directly into counter increments without
+        Old/new pairs convert directly into counter increments without
         another round of lookups.
         """
         self._trie.apply_delta(delta)

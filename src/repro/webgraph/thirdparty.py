@@ -33,8 +33,7 @@ class ThirdPartyCounter:
     re-evaluated.
 
     ``pairs`` may be a :class:`Snapshot` or any iterable of
-    ``(page_host, request_host)`` tuples — the sweep engine's workers
-    feed it chunks of the request universe directly.
+    ``(page_host, request_host)`` tuples.
     """
 
     def __init__(

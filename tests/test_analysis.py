@@ -1,5 +1,7 @@
 """Tests for the analysis modules (Figures 2-4, Table 1, reports, CLI)."""
 
+import json
+
 import pytest
 
 from repro.analysis import age as age_mod
@@ -152,18 +154,11 @@ class TestCli:
         """A quarantined-chunk sweep must not print tables and exit 0."""
         from repro.analysis import cli
         from repro.analysis.boundaries import SweepResult
-        from repro.sweep import SweepFailureReport
+        from repro.classify import ClassifyFailureReport
+        from repro.runtime import TaskFailure
 
-        report_obj = SweepFailureReport(
-            quarantined_chunks=("host-7",),
-            failures=(),
-            retried_chunks=(),
-            resumed_chunks=0,
-            executed_chunks=8,
-            total_chunks=8,
-            pool_rebuilds=2,
-            quarantined_hostnames=4096,
-            quarantined_pairs=0,
+        report_obj = ClassifyFailureReport(
+            quarantined=(TaskFailure("classify-7", 3, "RuntimeError: boom"),), chunks=8
         )
         degraded = SweepResult(
             points=(), total_hostnames=0, total_requests=0, failure_report=report_obj
@@ -179,6 +174,7 @@ class TestCli:
         assert main(["ext-fake"]) == cli.EXIT_DEGRADED
         captured = capsys.readouterr()
         assert "fake degraded output" in captured.out
-        assert "host-7" in captured.err
+        assert "classify-7" in captured.err
         assert "sweep_failure_report.json" in captured.err
-        assert (tmp_path / "sweep_failure_report.json").exists()
+        persisted = json.loads((tmp_path / "sweep_failure_report.json").read_text())
+        assert persisted["sweeps"][0]["quarantined"][0]["task_id"] == "classify-7"

@@ -100,10 +100,11 @@ class TestCorruptedVendorCopies:
 class TestSweepWorkerFailures:
     """Failure injection one layer down: the sweep's task runtime.
 
-    The deeper matrix (timeouts, pool rebuilds, kill-and-resume) lives
-    in test_runtime_resilience.py; these pin the safe-counterpart
-    behaviours — a crash is a retry, a poisoned chunk is a loud
-    quarantine entry, never a silently wrong series.
+    The Figure 5-7 sweep runs on the classify engine, so its tasks are
+    classify chunks.  The deeper matrix (timeouts, pool rebuilds,
+    kill-and-resume) lives in test_runtime_resilience.py; these pin the
+    safe-counterpart behaviours — a crash is a retry, a poisoned chunk
+    is a loud quarantine entry, never a silently wrong series.
     """
 
     def _world(self):
@@ -111,59 +112,49 @@ class TestSweepWorkerFailures:
 
         return _make_world()
 
-    def test_worker_crash_retry_yields_identical_results(self):
+    def test_worker_crash_retry_yields_identical_results(self, tmp_path):
+        from repro.analysis.boundaries import run_sweep
         from repro.runtime import Fault, FaultKind, FaultPlan, RetryPolicy
-        from repro.sweep import SweepEngine
+        from tests.test_sweep_engine import series, snapshot_of, sweep_in_chunks
 
         store, hostnames, pairs = self._world()
-        serial = SweepEngine(store).sweep(hostnames, pairs)
-        plan = FaultPlan({"host-2": Fault(FaultKind.CRASH, attempts=2)})
-        engine = SweepEngine(
-            store,
-            workers=2,
-            chunk_size=8,
-            fault_plan=plan,
-            resilience=RetryPolicy(backoff_base=0.0),
+        serial = run_sweep(store, snapshot_of(hostnames, pairs))
+        plan = FaultPlan({"classify-2": Fault(FaultKind.CRASH, attempts=2)})
+        result = sweep_in_chunks(
+            store, hostnames, pairs, 8, str(tmp_path),
+            workers=2, fault_plan=plan, policy=RetryPolicy(backoff_base=0.0),
         )
-        assert engine.sweep(hostnames, pairs) == serial
-        report = engine.last_failure_report
-        assert "host-2" in report.retried_chunks and not report.degraded
+        assert series(result) == series(serial)
+        assert "classify-2" in result.report.retried and not result.degraded
 
     def test_poisoned_chunk_is_enumerated_not_silent(self):
-        from repro.runtime import ALWAYS, Fault, FaultKind, FaultPlan, RetryPolicy
-        from repro.sweep import SweepEngine
+        from repro.analysis.boundaries import run_sweep
+        from repro.runtime import ALWAYS, Fault, FaultKind, FaultPlan
+        from tests.test_sweep_engine import snapshot_of
 
         store, hostnames, pairs = self._world()
-        plan = FaultPlan({"host-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
-        engine = SweepEngine(
-            store,
-            workers=2,
-            chunk_size=8,
-            fault_plan=plan,
-            resilience=RetryPolicy(backoff_base=0.0),
-        )
-        engine.sweep(hostnames, pairs)
-        report = engine.last_failure_report
+        plan = FaultPlan({"classify-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        sweep = run_sweep(store, snapshot_of(hostnames, pairs), workers=2, fault_plan=plan)
+        report = sweep.failure_report
         assert report.degraded
-        assert report.quarantined_chunks == ("host-0",)
-        assert report.quarantined_hostnames == 8
+        assert [failure.task_id for failure in report.quarantined] == ["classify-0"]
+        assert report.chunks == 2  # a small snapshot is cut into one chunk per worker
         assert "degraded" in report.summary()
 
-    def test_corrupt_partial_never_reaches_the_merge(self):
+    def test_corrupt_partial_never_reaches_the_merge(self, tmp_path):
+        from repro.analysis.boundaries import run_sweep
         from repro.runtime import Fault, FaultKind, FaultPlan, RetryPolicy
-        from repro.sweep import SweepEngine
+        from tests.test_sweep_engine import series, snapshot_of, sweep_in_chunks
 
         store, hostnames, pairs = self._world()
-        serial = SweepEngine(store).sweep(hostnames, pairs)
-        plan = FaultPlan({"pair-0": Fault(FaultKind.CORRUPT, attempts=1)})
-        engine = SweepEngine(
-            store,
-            chunk_size=16,
-            fault_plan=plan,
-            resilience=RetryPolicy(backoff_base=0.0),
+        serial = run_sweep(store, snapshot_of(hostnames, pairs))
+        plan = FaultPlan({"classify-0": Fault(FaultKind.CORRUPT, attempts=1)})
+        result = sweep_in_chunks(
+            store, hostnames, pairs, 16, str(tmp_path),
+            fault_plan=plan, policy=RetryPolicy(backoff_base=0.0),
         )
-        assert engine.sweep(hostnames, pairs) == serial
-        assert engine.last_failure_report.retried_chunks == ("pair-0",)
+        assert series(result) == series(serial)
+        assert result.report.retried == ("classify-0",)
 
 
 class TestWrongListVariant:

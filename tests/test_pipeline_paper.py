@@ -14,8 +14,9 @@ from repro.analysis import cli
 from repro.analysis.boundaries import SweepResult
 from repro.analysis.context import SweepSettings, get_context, world_stages
 from repro.analysis.pipeline import TERMINALS, paper_pipeline
+from repro.classify import ClassifyFailureReport
 from repro.pipeline import ArtifactStore, Pipeline, Stage, memory_store
-from repro.sweep import SweepFailureReport
+from repro.runtime import TaskFailure
 from repro.webgraph.synthesis import SnapshotConfig
 
 SEED = 20230701
@@ -159,16 +160,8 @@ class TestCrossProcess:
 
 class TestDegradedSweep:
     def _degraded(self) -> SweepResult:
-        report = SweepFailureReport(
-            quarantined_chunks=("host-3",),
-            failures=(),
-            retried_chunks=(),
-            resumed_chunks=0,
-            executed_chunks=4,
-            total_chunks=4,
-            pool_rebuilds=1,
-            quarantined_hostnames=64,
-            quarantined_pairs=0,
+        report = ClassifyFailureReport(
+            quarantined=(TaskFailure("classify-3", 3, "RuntimeError: boom"),), chunks=8
         )
         return SweepResult(
             points=(), total_hostnames=0, total_requests=0, failure_report=report

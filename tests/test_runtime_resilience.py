@@ -18,14 +18,18 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.analysis.boundaries import run_sweep
+from repro.classify import ClassifyEngine, snapshot_chunks
 from repro.history.store import VersionStore
 from repro.psl.rules import Rule
 from repro.runtime import (
     ALWAYS,
+    AtomicFile,
     CheckpointStore,
     CorruptResult,
     Fault,
@@ -34,8 +38,9 @@ from repro.runtime import (
     MISSING,
     ResilientExecutor,
     RetryPolicy,
+    atomic_write_bytes,
 )
-from repro.sweep import SweepEngine
+from tests.test_sweep_engine import series, snapshot_of, sweep_in_chunks
 
 FAST = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
@@ -191,6 +196,54 @@ class TestExecutorPool:
         ]
 
 
+class TestAtomicWrite:
+    def test_concurrent_writers_to_one_path_never_collide(self, tmp_path):
+        # A fixed "{path}.tmp" name let one writer's os.replace move
+        # another's temp file away mid-write (FileNotFoundError).
+        path = str(tmp_path / "shared.json")
+        payloads = [f"writer-{n}".encode() * 64 for n in range(8)]
+        errors: list[BaseException] = []
+
+        def write(payload: bytes) -> None:
+            try:
+                for _ in range(150):
+                    atomic_write_bytes(path, payload)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        with open(path, "rb") as handle:
+            assert handle.read() in payloads
+        assert os.listdir(tmp_path) == ["shared.json"]  # no temp file left
+
+    def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path):
+        path = str(tmp_path / "data.bin")
+        atomic_write_bytes(path, b"old")
+        with pytest.raises(RuntimeError):
+            with AtomicFile(path) as handle:
+                handle.write(b"half of the new")
+                raise RuntimeError("killed mid-write")
+        with open(path, "rb") as handle:
+            assert handle.read() == b"old"
+        assert os.listdir(tmp_path) == ["data.bin"]
+
+    def test_clear_removes_stale_temp_files(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        store.save("t", 1)
+        abandoned = AtomicFile(store._task_path("u"))  # a writer killed mid-write
+        abandoned.handle.write(b"partial")
+        abandoned.handle.flush()
+        store.clear()
+        assert os.listdir(tmp_path) == []
+        abandoned.handle.close()
+
+
 class TestCheckpointStore:
     def test_save_load_roundtrip_and_missing(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
@@ -252,95 +305,94 @@ class TestCheckpointStore:
 
 
 # -- engine-level resilience --------------------------------------------------
+#
+# The Figure 5-7 sweep's resilience is the classify engine's: these run
+# the engine over a version store and eight-host snapshot chunks
+# (task ids classify-0 .. classify-5).
 
 
 class TestEngineResilience:
-    def test_fault_free_runtime_identical_to_raw_serial(self):
+    def test_crashing_worker_sweep_identical_to_serial(self, tmp_path):
         store, hostnames, pairs = _make_world()
-        raw = SweepEngine(store, resilience=None).sweep(hostnames, pairs)
-        resilient = SweepEngine(store).sweep(hostnames, pairs)
-        assert resilient == raw
-
-    def test_crashing_worker_sweep_identical_to_serial(self):
-        store, hostnames, pairs = _make_world()
-        serial = SweepEngine(store).sweep(hostnames, pairs)
+        serial = run_sweep(store, snapshot_of(hostnames, pairs))
         plan = FaultPlan(
             {
-                "host-0": Fault(FaultKind.CRASH, attempts=1),
-                "pair-1": Fault(FaultKind.WORKER_EXIT, attempts=1),
+                "classify-0": Fault(FaultKind.CRASH, attempts=1),
+                "classify-1": Fault(FaultKind.WORKER_EXIT, attempts=1),
             }
         )
-        engine = SweepEngine(
-            store, workers=2, chunk_size=8, fault_plan=plan, resilience=FAST
+        result = sweep_in_chunks(
+            store, hostnames, pairs, 8, str(tmp_path),
+            workers=2, fault_plan=plan, policy=FAST,
         )
-        assert engine.sweep(hostnames, pairs) == serial
-        report = engine.last_failure_report
-        assert not report.degraded and report.pool_rebuilds >= 1
+        assert series(result) == series(serial)
+        assert not result.degraded and result.report.pool_rebuilds >= 1
 
-    def test_poisoned_chunk_is_quarantined_and_enumerated(self):
+    def test_poisoned_chunk_is_quarantined_and_enumerated(self, tmp_path):
         store, hostnames, pairs = _make_world()
-        plan = FaultPlan({"host-1": Fault(FaultKind.CRASH, attempts=ALWAYS)})
-        engine = SweepEngine(
-            store, workers=2, chunk_size=8, fault_plan=plan, resilience=FAST
+        plan = FaultPlan({"classify-1": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        degraded = sweep_in_chunks(
+            store, hostnames, pairs, 8, str(tmp_path / "degraded"),
+            workers=2, fault_plan=plan, policy=FAST,
         )
-        degraded = engine.sweep(hostnames, pairs)
-        report = engine.last_failure_report
-        assert report.degraded
-        assert report.quarantined_chunks == ("host-1",)
-        assert report.quarantined_hostnames == 8
-        assert "host-1" in report.summary()
-        # The degraded series equals a serial sweep over the universe
-        # minus exactly the quarantined chunk's hostnames.
-        surviving = hostnames[:8] + hostnames[16:]
-        expected = SweepEngine(store).sweep(surviving, pairs)
-        assert degraded.site_counts == expected.site_counts
-        assert degraded.third_party == expected.third_party
+        assert degraded.degraded
+        assert [failure.task_id for failure in degraded.failure.quarantined] == ["classify-1"]
+        assert "classify-1" in degraded.failure.summary()
+        # The degraded series equals a clean run over exactly the
+        # surviving chunks: the quarantined chunk's 8 hostnames and the
+        # request pairs riding with them are gone, nothing else.
+        surviving = [
+            chunk
+            for chunk in snapshot_chunks(hostnames, pairs, 8)
+            if chunk.task_id != "classify-1"
+        ]
+        expected = ClassifyEngine(
+            store, version_indexes=range(len(store)), run_dir=str(tmp_path / "clean")
+        ).run_chunks(surviving)
+        assert series(degraded) == series(expected)
+        assert degraded.rows[0].sites.hostnames == len(hostnames) - 8
 
-    def test_quarantine_report_serializes(self):
+    def test_quarantine_report_serializes(self, tmp_path):
         store, hostnames, pairs = _make_world()
-        plan = FaultPlan({"pair-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
-        engine = SweepEngine(store, chunk_size=16, fault_plan=plan, resilience=FAST)
-        engine.sweep(hostnames, pairs)
-        payload = engine.last_failure_report.to_json()
+        plan = FaultPlan({"classify-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        sweep = run_sweep(
+            store, snapshot_of(hostnames, pairs),
+            checkpoint_dir=str(tmp_path), fault_plan=plan,
+        )
+        payload = sweep.failure_report.to_json()
         assert payload["degraded"] is True
-        assert payload["quarantined_chunks"] == ["pair-0"]
-        assert payload["failures"][0]["task_id"] == "pair-0"
+        assert payload["quarantined"][0]["task_id"] == "classify-0"
+        assert os.path.exists(tmp_path / "checkpoints" / "failure_report.json")
 
     def test_resume_reexecutes_only_unfinished_chunks(self, tmp_path):
         store, hostnames, pairs = _make_world()
-        serial = SweepEngine(store).sweep(hostnames, pairs)
-        poison = FaultPlan({"host-2": Fault(FaultKind.CRASH, attempts=ALWAYS)})
-        first = SweepEngine(
-            store,
-            chunk_size=8,
-            checkpoint_dir=str(tmp_path),
-            fault_plan=poison,
-            resilience=FAST,
+        serial = run_sweep(store, snapshot_of(hostnames, pairs))
+        poison = FaultPlan({"classify-2": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        first = sweep_in_chunks(
+            store, hostnames, pairs, 8, str(tmp_path), fault_plan=poison, policy=FAST
         )
-        first.sweep(hostnames, pairs)
-        assert first.last_failure_report.degraded
+        assert first.degraded
 
-        resumed_engine = SweepEngine(store, chunk_size=8, checkpoint_dir=str(tmp_path))
-        resumed = resumed_engine.sweep(hostnames, pairs)
-        report = resumed_engine.last_failure_report
-        assert resumed == serial
-        assert report.executed_chunks == 1  # only the formerly-poisoned chunk
-        assert report.resumed_chunks == report.total_chunks - 1
+        resumed = sweep_in_chunks(store, hostnames, pairs, 8, str(tmp_path), resume=True)
+        assert series(resumed) == series(serial)
+        assert resumed.report.executed == 1  # only the formerly-poisoned chunk
+        assert resumed.report.resumed == resumed.chunks - 1
 
     def test_checkpoints_from_another_sweep_shape_are_not_reused(self, tmp_path):
         store, hostnames, pairs = _make_world()
-        engine = SweepEngine(store, chunk_size=8, checkpoint_dir=str(tmp_path))
-        engine.sweep(hostnames, pairs)
-        other = SweepEngine(store, chunk_size=16, checkpoint_dir=str(tmp_path))
-        other.sweep(hostnames, pairs)
-        assert other.last_failure_report.resumed_chunks == 0
+        sweep_in_chunks(store, hostnames, pairs, 8, str(tmp_path))
+        other = sweep_in_chunks(store, hostnames, pairs, 16, str(tmp_path), resume=True)
+        assert other.report.resumed == 0
 
-    def test_runtime_knob_validation(self):
-        store, _, _ = _make_world(versions=3)
-        with pytest.raises(ValueError):
-            SweepEngine(store, resilience=None, checkpoint_dir="/tmp/x")
-        with pytest.raises(ValueError):
-            SweepEngine(store, resilience=None, fault_plan=FaultPlan({}))
+    def test_run_sweep_resumes_from_its_checkpoint_dir(self, tmp_path):
+        store, hostnames, pairs = _make_world()
+        snapshot = snapshot_of(hostnames, pairs)
+        poison = FaultPlan({"classify-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        first = run_sweep(store, snapshot, checkpoint_dir=str(tmp_path), fault_plan=poison)
+        assert first.failure_report.degraded
+        healed = run_sweep(store, snapshot, checkpoint_dir=str(tmp_path))
+        assert healed.failure_report is None
+        assert healed == run_sweep(store, snapshot)
 
 
 class TestKillAndResume:
@@ -349,25 +401,24 @@ class TestKillAndResume:
         its checkpoints and ends bit-identical to an uninterrupted run.
 
         The child sweeps serially with a 60s hang injected on the 4th
-        host chunk, so the kill deterministically lands after chunks
-        0-2 have spilled and before anything later completes.
+        chunk, so the kill deterministically lands after chunks 0-2
+        have spilled and before anything later completes.
         """
         store, hostnames, pairs = _make_world()
-        serial = SweepEngine(store).sweep(hostnames, pairs)
-        checkpoint_dir = str(tmp_path / "spill")
+        serial = run_sweep(store, snapshot_of(hostnames, pairs))
+        run_dir = str(tmp_path / "run")
+        checkpoint_dir = os.path.join(run_dir, "checkpoints")
         script = f"""
-import datetime
 import sys
 sys.path.insert(0, {os.path.join(os.path.dirname(__file__), os.pardir, "src")!r})
 sys.path.insert(0, {os.path.join(os.path.dirname(__file__), os.pardir)!r})
 from tests.test_runtime_resilience import _make_world
+from tests.test_sweep_engine import sweep_in_chunks
 from repro.runtime import Fault, FaultKind, FaultPlan
-from repro.sweep import SweepEngine
 
 store, hostnames, pairs = _make_world()
-plan = FaultPlan({{"host-3": Fault(FaultKind.HANG, attempts=1, hang_seconds=60.0)}})
-engine = SweepEngine(store, chunk_size=8, checkpoint_dir={checkpoint_dir!r}, fault_plan=plan)
-engine.sweep(hostnames, pairs)
+plan = FaultPlan({{"classify-3": Fault(FaultKind.HANG, attempts=1, hang_seconds=60.0)}})
+sweep_in_chunks(store, hostnames, pairs, 8, {run_dir!r}, fault_plan=plan)
 """
         child = subprocess.Popen([sys.executable, "-c", script])
         try:
@@ -386,10 +437,46 @@ engine.sweep(hostnames, pairs)
             child.kill()
             child.wait()
 
-        resumed_engine = SweepEngine(store, chunk_size=8, checkpoint_dir=checkpoint_dir)
-        resumed = resumed_engine.sweep(hostnames, pairs)
-        report = resumed_engine.last_failure_report
-        assert resumed == serial
-        assert report.resumed_chunks >= 3
-        assert report.executed_chunks == report.total_chunks - report.resumed_chunks
-        assert not report.degraded
+        resumed = sweep_in_chunks(store, hostnames, pairs, 8, run_dir, resume=True)
+        assert series(resumed) == series(serial)
+        assert resumed.report.resumed >= 3
+        assert resumed.report.executed == resumed.chunks - resumed.report.resumed
+        assert not resumed.degraded
+
+    def test_temp_files_of_killed_writes_are_reclaimed_on_resume(self, tmp_path):
+        """A child killed mid spill write and mid checkpoint write leaves
+        temp files; the next run in that directory removes them."""
+        store, hostnames, pairs = _make_world()
+        run_dir = str(tmp_path / "run")
+        sweep_in_chunks(store, hostnames, pairs, 8, run_dir)
+        spill_dir = os.path.join(run_dir, "spills")
+        checkpoint_dir = os.path.join(run_dir, "checkpoints")
+        script = f"""
+import os, signal, sys
+sys.path.insert(0, {os.path.join(os.path.dirname(__file__), os.pardir, "src")!r})
+from repro.classify.partials import SpillWriter
+from repro.runtime import AtomicFile
+
+spill = SpillWriter(os.path.join({spill_dir!r}, "classify-0.spill"), 3)
+spill.add({{"a.com": 1}})
+checkpoint = AtomicFile(os.path.join({checkpoint_dir!r}, "classify-0.pkl"))
+checkpoint.handle.write(b"partial")
+for handle in (spill._handle, checkpoint.handle):
+    handle.flush()
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+        child = subprocess.run([sys.executable, "-c", script], timeout=60)
+        assert child.returncode == -signal.SIGKILL
+
+        def temps():
+            return [
+                name
+                for directory in (spill_dir, checkpoint_dir)
+                for name in os.listdir(directory)
+                if name.endswith(".tmp")
+            ]
+
+        assert len(temps()) == 2
+        resumed = sweep_in_chunks(store, hostnames, pairs, 8, run_dir, resume=True)
+        assert resumed.report.resumed == resumed.chunks  # the ledger survived
+        assert temps() == []

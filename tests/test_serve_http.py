@@ -320,6 +320,29 @@ class TestHotSwapUnderLoad:
         )
 
 
+class TestAdoptedListenSocket:
+    def test_worker_that_loses_the_accept_race_stays_stoppable(self):
+        # Pre-fork workers share one listening fd, so a connection wakes
+        # every worker's selector but only one accept() wins.  The
+        # losers must go back to their serve loop instead of parking in
+        # accept(), where shutdown() would wait on them forever.
+        listener = socket.create_server(("127.0.0.1", 0))
+        server = PslServer(
+            ("127.0.0.1", 0), SnapshotRegistry(make_store()), listen_socket=listener
+        )
+        returned = threading.Event()
+
+        def lose_the_race() -> None:
+            server._handle_request_noblock()  # selector said ready; nothing to accept
+            returned.set()
+
+        try:
+            threading.Thread(target=lose_the_race, daemon=True).start()
+            assert returned.wait(timeout=5)
+        finally:
+            server.server_close()
+
+
 class TestSmokeHarness:
     def test_run_smoke_passes_against_a_live_server(self, server, capsys):
         from repro.serve.cli import run_smoke
