@@ -11,7 +11,7 @@ export PYTHONPATH := src:.
 # table, pinned.  Update only with a change that means to move them.
 FIGURES_SHA256 := 8fd5547fd9b0f986c5f2daaa6466349a8945e151d4deb947be7ddc1e1bf9f9c1
 
-check: test verify-figures serve-smoke serve-smoke-fleet bench-serve-smoke bench-classify-smoke bench-e2e-selftest  ## the pre-merge gate: tier-1 + pinned figures + both serve smokes + fast serve/classify benches + benchmark-harness self-tests
+check: test verify-figures serve-smoke serve-smoke-fleet update-faults bench-serve-smoke bench-classify-smoke bench-e2e-selftest  ## the pre-merge gate: tier-1 + pinned figures + both serve smokes + the upstream fault soak + fast serve/classify benches + benchmark-harness self-tests
 	@echo "check: all gates passed"
 
 test:  ## tier-1: the full fast suite

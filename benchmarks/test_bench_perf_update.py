@@ -34,12 +34,11 @@ from repro.runtime.executor import RetryPolicy
 from repro.serve.http import PslServer
 from repro.serve.snapshots import SnapshotRegistry
 from repro.update.slo import SloPolicy
+from repro.runtime.faults import Fault, FaultPlan
 from repro.update.upstream import (
     ALWAYS,
     SyntheticUpstream,
-    UpstreamFault,
     UpstreamFaultKind,
-    UpstreamFaultPlan,
     patch_key,
 )
 from repro.update.watcher import Watcher, WatcherConfig
@@ -119,13 +118,13 @@ def test_bench_staleness_gauges_match_the_journal_exactly(history):
     behind = 8
     local = prefix(history, len(history) - behind)
     pending = list(range(len(local), len(history)))
-    plan = UpstreamFaultPlan(
+    plan = FaultPlan(
         faults={
-            patch_key(pending[1]): UpstreamFault(UpstreamFaultKind.TRUNCATE, attempts=1),
-            patch_key(pending[3]): UpstreamFault(
+            patch_key(pending[1]): Fault(UpstreamFaultKind.TRUNCATE, attempts=1),
+            patch_key(pending[3]): Fault(
                 UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS
             ),
-            patch_key(pending[5]): UpstreamFault(
+            patch_key(pending[5]): Fault(
                 UpstreamFaultKind.BAD_CHECKSUM, attempts=ALWAYS
             ),
         }

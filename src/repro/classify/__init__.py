@@ -27,10 +27,6 @@ Layer map (each composes an existing platform layer):
 * :mod:`repro.classify.engine` — the driver over
   :class:`repro.runtime.ResilientExecutor` (retries, quarantine,
   chunk-granular checkpoint/resume) with a version-at-a-time merge;
-* :mod:`repro.classify.stage` — the :mod:`repro.pipeline` wiring that
-  makes classify outputs content-addressed, warm-reusable artifacts
-  (imported from its module: it sits above :mod:`repro.analysis`,
-  whose Figure 5-7 sweep runs on this engine);
 * :mod:`repro.classify.cli` — ``psl-classify``, including the
   ``--frontier`` scale harness.
 """

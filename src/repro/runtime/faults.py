@@ -13,6 +13,12 @@ The executor routes every invocation (pool or in-process) through
 :func:`invoke_with_faults`; with ``plan=None`` the wrapper is a plain
 call, which is what keeps the fault-free path bit-identical to running
 the task function directly.
+
+The same plan type drives the live-update loop's synthetic upstream
+(:class:`repro.update.upstream.SyntheticUpstream`), keyed by upstream
+operation instead of task id and with ``kind`` drawn from
+:class:`~repro.update.upstream.UpstreamFaultKind`: the failure modes
+differ, the schedule does not.
 """
 
 from __future__ import annotations
@@ -56,9 +62,14 @@ class FaultKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Fault:
-    """One task's misbehaviour: ``kind`` on attempts ``1..attempts``."""
+    """One task's misbehaviour: ``kind`` on attempts ``1..attempts``.
 
-    kind: FaultKind
+    ``kind`` is a :class:`FaultKind` for executor tasks, or an
+    :class:`~repro.update.upstream.UpstreamFaultKind` for upstream
+    operations.
+    """
+
+    kind: enum.Enum
     attempts: int = 1
     hang_seconds: float = 2.0
 
@@ -90,7 +101,8 @@ class FaultPlan:
     """A deterministic schedule of faults, keyed by task id.
 
     Plans are frozen and contain only plain values, so they pickle into
-    pool workers unchanged.
+    pool workers unchanged, and storing one next to a journal is all it
+    takes to replay a run bit-for-bit.
     """
 
     faults: Mapping[str, Fault] = field(default_factory=dict)
@@ -100,6 +112,35 @@ class FaultPlan:
         if fault is not None and fault.fires_on(attempt):
             return fault
         return None
+
+    def to_json(self) -> dict:
+        """JSON shape for storing a plan beside its journal."""
+        return {
+            key: {
+                "kind": fault.kind.value,
+                "attempts": fault.attempts,
+                "hang_seconds": fault.hang_seconds,
+            }
+            for key, fault in sorted(self.faults.items())
+        }
+
+    @classmethod
+    def from_json(cls, payload: Mapping, kinds: type[enum.Enum]) -> "FaultPlan":
+        """Inverse of :meth:`to_json`.
+
+        ``kinds`` is the enum the stored ``kind`` values belong to:
+        :class:`FaultKind` or ``UpstreamFaultKind``.
+        """
+        return cls(
+            faults={
+                key: Fault(
+                    kind=kinds(spec["kind"]),
+                    attempts=int(spec["attempts"]),
+                    hang_seconds=float(spec["hang_seconds"]),
+                )
+                for key, spec in payload.items()
+            }
+        )
 
 
 def invoke_with_faults(

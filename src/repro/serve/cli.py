@@ -52,22 +52,12 @@ DEFAULT_PORT = 8053
 DEFAULT_SEED = 20230701
 
 
-def build_store(seed: int, cache_dir: str | None) -> VersionStore:
-    """The version history to serve, warmed from ``cache_dir`` if given.
-
-    The cached path reuses the paper pipeline's ``history`` stage
-    verbatim — same stage, same fingerprint — so the server and
-    ``psl-repro`` share one artifact rather than each keeping a private
-    copy of the world.
-    """
-    store, _ = build_world(seed, cache_dir, packed=False)
-    return store
-
-
 def build_world(seed: int, cache_dir: str | None, *, packed: bool):
     """The history plus (optionally) its packed buffer.
 
-    With ``packed=True`` and a ``cache_dir``, the packed buffer comes
+    With a ``cache_dir`` the history is the paper pipeline's
+    ``history`` stage verbatim — same stage, same fingerprint — so the
+    server and ``psl-repro`` share one artifact.  With ``packed=True`` and a ``cache_dir``, the packed buffer comes
     from the pipeline's ``packed`` stage as a **raw artifact** and is
     ``mmap``-ed straight off the store's payload file — the
     multi-process warm path: every server process mapping the same
@@ -120,6 +110,37 @@ def prefix_store(full: VersionStore, count: int) -> VersionStore:
     return store
 
 
+def build_serving_world(args: argparse.Namespace):
+    """The store and packed buffer to serve, plus the watch wiring.
+
+    Returns ``(store, packed, upstream, watcher_config)``.  Without
+    ``--watch`` the last two are ``None``.  With it, the full history
+    becomes a :class:`~repro.update.upstream.SyntheticUpstream`'s truth
+    and the served store starts ``--behind`` versions back.
+    """
+    store, packed = build_world(args.seed, args.cache_dir, packed=args.packed)
+    if not getattr(args, "watch", False):
+        return store, packed, None, None
+    from repro.update.upstream import SyntheticUpstream
+    from repro.update.watcher import WatcherConfig
+
+    truth = store
+    behind = max(1, min(args.behind, len(truth) - 1))
+    store = prefix_store(truth, len(truth) - behind)
+    if packed is not None:
+        # The mmap/full-history buffer covers versions the prefix
+        # registry must not expose; repack the prefix in-process.
+        from repro.psl.packed import PackedHistory, pack_history
+
+        packed = PackedHistory.from_buffer(pack_history(store))
+    return (
+        store,
+        packed,
+        SyntheticUpstream(truth),
+        WatcherConfig(poll_interval=args.poll_interval),
+    )
+
+
 def build_server(args: argparse.Namespace) -> PslServer:
     """Assemble store -> registry -> engine -> server from parsed flags.
 
@@ -128,18 +149,7 @@ def build_server(args: argparse.Namespace) -> PslServer:
     :class:`repro.update.watcher.Watcher` (not yet started — the
     caller owns the thread) is attached for SLO metrics and catch-up.
     """
-    store, packed = build_world(args.seed, args.cache_dir, packed=args.packed)
-    watch = getattr(args, "watch", False)
-    if watch:
-        truth = store
-        behind = max(1, min(args.behind, len(truth) - 1))
-        store = prefix_store(truth, len(truth) - behind)
-        if packed is not None:
-            # The mmap/full-history buffer covers versions the prefix
-            # registry must not expose; repack the prefix in-process.
-            from repro.psl.packed import PackedHistory, pack_history
-
-            packed = PackedHistory.from_buffer(pack_history(store))
+    store, packed, upstream, watcher_config = build_serving_world(args)
     registry = SnapshotRegistry(
         store,
         active=args.version,
@@ -153,17 +163,10 @@ def build_server(args: argparse.Namespace) -> PslServer:
         request_timeout=args.request_timeout,
         quiet=not args.verbose,
     )
-    if watch:
-        from repro.update.upstream import SyntheticUpstream
-        from repro.update.watcher import Watcher, WatcherConfig
+    if upstream is not None:
+        from repro.update.watcher import Watcher
 
-        upstream = SyntheticUpstream(truth)
-        watcher = Watcher(
-            registry,
-            upstream,
-            config=WatcherConfig(poll_interval=args.poll_interval),
-        )
-        server.attach_watcher(watcher)
+        server.attach_watcher(Watcher(registry, upstream, config=watcher_config))
     return server
 
 
@@ -177,22 +180,7 @@ def build_fleet(args: argparse.Namespace):
     """
     from repro.serve.fleet import FleetConfig, FleetSupervisor
 
-    store, packed = build_world(args.seed, args.cache_dir, packed=args.packed)
-    upstream = None
-    watcher_config = None
-    if getattr(args, "watch", False):
-        truth = store
-        behind = max(1, min(args.behind, len(truth) - 1))
-        store = prefix_store(truth, len(truth) - behind)
-        if packed is not None:
-            from repro.psl.packed import PackedHistory, pack_history
-
-            packed = PackedHistory.from_buffer(pack_history(store))
-        from repro.update.upstream import SyntheticUpstream
-        from repro.update.watcher import WatcherConfig
-
-        upstream = SyntheticUpstream(truth)
-        watcher_config = WatcherConfig(poll_interval=args.poll_interval)
+    store, packed, upstream, watcher_config = build_serving_world(args)
     config = FleetConfig(
         workers=args.workers,
         host=args.host,

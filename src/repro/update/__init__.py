@@ -14,7 +14,7 @@ Layering::
     SyntheticUpstream  (upstream.py)  the version history served as a
          |                            faultable remote: dated patch /
          |                            full-snapshot envelopes behind a
-         |                            deterministic UpstreamFaultPlan
+         |                            deterministic runtime FaultPlan
     Watcher            (watcher.py)   poll -> validate (checksum,
          |                            parse, clean apply, digest,
          |                            packed CRC) -> atomic hot-swap
@@ -38,9 +38,7 @@ from repro.update.upstream import (
     HeadInfo,
     SyntheticUpstream,
     UpstreamError,
-    UpstreamFault,
     UpstreamFaultKind,
-    UpstreamFaultPlan,
     UpstreamTimeout,
     UpstreamUnreachable,
     VersionEnvelope,
@@ -63,9 +61,7 @@ __all__ = [
     "UpdateStatus",
     "UpdateValidationError",
     "UpstreamError",
-    "UpstreamFault",
     "UpstreamFaultKind",
-    "UpstreamFaultPlan",
     "UpstreamTimeout",
     "UpstreamUnreachable",
     "VersionEnvelope",

@@ -41,6 +41,8 @@ import urllib.request
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.runtime.executor import RetryPolicy
+from repro.runtime.faults import Fault, FaultPlan
+from repro.serve.cli import prefix_store
 from repro.serve.http import PslServer
 from repro.serve.snapshots import SnapshotRegistry
 from repro.update.slo import SloPolicy
@@ -48,9 +50,7 @@ from repro.update.upstream import (
     ALWAYS,
     HEAD_KEY,
     SyntheticUpstream,
-    UpstreamFault,
     UpstreamFaultKind,
-    UpstreamFaultPlan,
     full_key,
     patch_key,
 )
@@ -69,7 +69,7 @@ PROBE_HOSTS = (
 )
 
 
-def build_fault_plan(pending: list[int], *, retry_attempts: int) -> UpstreamFaultPlan:
+def build_fault_plan(pending: list[int], *, retry_attempts: int) -> FaultPlan:
     """Every failure mode across the pending versions, deterministic.
 
     Transient faults clear within one retry budget; the two persistent
@@ -77,35 +77,27 @@ def build_fault_plan(pending: list[int], *, retry_attempts: int) -> UpstreamFaul
     head poll itself fails for exactly one whole poll (all
     ``retry_attempts`` exhausted) before recovering.
     """
-    faults: dict[str, UpstreamFault] = {
+    faults: dict[str, Fault] = {
         # One entire failed poll: attempts == the per-poll retry budget.
-        HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=retry_attempts),
+        HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=retry_attempts),
     }
     if len(pending) >= 8:
         p = pending
-        faults[patch_key(p[1])] = UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=2)
-        faults[patch_key(p[2])] = UpstreamFault(
+        faults[patch_key(p[1])] = Fault(UpstreamFaultKind.UNREACHABLE, attempts=2)
+        faults[patch_key(p[2])] = Fault(
             UpstreamFaultKind.HANG, attempts=1, hang_seconds=0.25
         )
-        faults[patch_key(p[3])] = UpstreamFault(UpstreamFaultKind.TRUNCATE, attempts=1)
-        faults[patch_key(p[4])] = UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)
-        faults[full_key(p[5])] = UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=1)
-        faults[patch_key(p[6])] = UpstreamFault(UpstreamFaultKind.BAD_CHECKSUM, attempts=ALWAYS)
-        faults[patch_key(p[0])] = UpstreamFault(UpstreamFaultKind.BAD_CHECKSUM, attempts=1)
-    return UpstreamFaultPlan(faults=faults)
-
-
-def prefix_store(full: VersionStore, count: int) -> VersionStore:
-    """First ``count`` versions as their own store (vendored-at state)."""
-    store = VersionStore()
-    for version in full.versions[:count]:
-        store.commit(version.date, version.delta, message=version.message)
-    return store
+        faults[patch_key(p[3])] = Fault(UpstreamFaultKind.TRUNCATE, attempts=1)
+        faults[patch_key(p[4])] = Fault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)
+        faults[full_key(p[5])] = Fault(UpstreamFaultKind.UNREACHABLE, attempts=1)
+        faults[patch_key(p[6])] = Fault(UpstreamFaultKind.BAD_CHECKSUM, attempts=ALWAYS)
+        faults[patch_key(p[0])] = Fault(UpstreamFaultKind.BAD_CHECKSUM, attempts=1)
+    return FaultPlan(faults=faults)
 
 
 def run_watcher(
     truth: VersionStore,
-    plan: UpstreamFaultPlan,
+    plan: FaultPlan,
     local_count: int,
     polls: int,
     *,

@@ -19,9 +19,10 @@ declared metadata (date, commit, rule count, order-independent
 rule-set digest) and a SHA-256 checksum over the body, so the watcher
 can validate end to end before touching its serving state.
 
-**Faults are first-class**, in the style of
-:mod:`repro.runtime.faults`: an :class:`UpstreamFaultPlan` keys frozen
-:class:`UpstreamFault` records by operation (``head``, ``patch:N``,
+**Faults are first-class**, through the task runtime's own
+:class:`~repro.runtime.faults.FaultPlan`: it keys frozen
+:class:`~repro.runtime.faults.Fault` records (``kind`` an
+:class:`UpstreamFaultKind`) by operation (``head``, ``patch:N``,
 ``full:N``) and fires them on attempts ``1..attempts`` (or
 :data:`~repro.runtime.faults.ALWAYS`).  Attempt counting lives in the
 upstream itself, so a plan replays identically for any client that
@@ -35,12 +36,12 @@ import datetime
 import enum
 import hashlib
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.history.store import VersionStore
 from repro.psl.rules import Rule, Section
-from repro.runtime.faults import ALWAYS
+from repro.runtime.faults import ALWAYS, Fault, FaultPlan
 
 __all__ = [
     "ALWAYS",
@@ -48,9 +49,7 @@ __all__ = [
     "HeadInfo",
     "SyntheticUpstream",
     "UpstreamError",
-    "UpstreamFault",
     "UpstreamFaultKind",
-    "UpstreamFaultPlan",
     "UpstreamTimeout",
     "UpstreamUnreachable",
     "VersionEnvelope",
@@ -108,67 +107,6 @@ class UpstreamFaultKind(enum.Enum):
     TRUNCATE = "truncate"
     CORRUPT_PATCH = "corrupt-patch"
     BAD_CHECKSUM = "bad-checksum"
-
-
-@dataclass(frozen=True, slots=True)
-class UpstreamFault:
-    """One operation's misbehaviour: ``kind`` on attempts ``1..attempts``."""
-
-    kind: UpstreamFaultKind
-    attempts: int = 1
-    hang_seconds: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("a fault must fire on at least one attempt")
-        if self.hang_seconds < 0:
-            raise ValueError("hang_seconds must be non-negative")
-
-    def fires_on(self, attempt: int) -> bool:
-        return attempt <= self.attempts
-
-
-@dataclass(frozen=True, slots=True)
-class UpstreamFaultPlan:
-    """A deterministic schedule of upstream faults, keyed by operation.
-
-    Keys are :data:`HEAD_KEY`, :func:`patch_key`, or :func:`full_key`
-    values.  Like :class:`repro.runtime.faults.FaultPlan`, plans are
-    frozen plain data: storing one next to a journal is all it takes
-    to replay an entire ingest lineage bit-for-bit.
-    """
-
-    faults: Mapping[str, UpstreamFault] = field(default_factory=dict)
-
-    def fault_for(self, key: str, attempt: int) -> UpstreamFault | None:
-        fault = self.faults.get(key)
-        if fault is not None and fault.fires_on(attempt):
-            return fault
-        return None
-
-    def to_json(self) -> dict:
-        """JSON shape for storing a plan beside its journal."""
-        return {
-            key: {
-                "kind": fault.kind.value,
-                "attempts": fault.attempts,
-                "hang_seconds": fault.hang_seconds,
-            }
-            for key, fault in sorted(self.faults.items())
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "UpstreamFaultPlan":
-        return cls(
-            faults={
-                key: UpstreamFault(
-                    kind=UpstreamFaultKind(spec["kind"]),
-                    attempts=int(spec.get("attempts", 1)),
-                    hang_seconds=float(spec.get("hang_seconds", 10.0)),
-                )
-                for key, spec in payload.items()
-            }
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,7 +197,7 @@ class SyntheticUpstream:
         truth: VersionStore,
         *,
         published: int | None = None,
-        plan: UpstreamFaultPlan | None = None,
+        plan: FaultPlan | None = None,
         client_timeout: float = 5.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -311,7 +249,7 @@ class SyntheticUpstream:
         self.calls.append((key, attempt))
         return attempt
 
-    def _transport_fault(self, key: str, attempt: int) -> UpstreamFault | None:
+    def _transport_fault(self, key: str, attempt: int) -> Fault | None:
         """Apply transport-level faults; returns a body fault to apply later."""
         fault = self._plan.fault_for(key, attempt) if self._plan is not None else None
         if fault is None:
@@ -328,7 +266,7 @@ class SyntheticUpstream:
         return fault  # a body fault; the caller mangles the envelope
 
     @staticmethod
-    def _mangle(body: str, checksum: str, fault: UpstreamFault | None, kind: str) -> tuple[str, str]:
+    def _mangle(body: str, checksum: str, fault: Fault | None, kind: str) -> tuple[str, str]:
         if fault is None:
             return body, checksum
         if fault.kind is UpstreamFaultKind.TRUNCATE:
@@ -360,7 +298,7 @@ class SyntheticUpstream:
             set_digest=version.set_digest,
         )
 
-    def _envelope(self, index: int, kind: str, body: str, fault: UpstreamFault | None) -> VersionEnvelope:
+    def _envelope(self, index: int, kind: str, body: str, fault: Fault | None) -> VersionEnvelope:
         version = self._truth.version(index)
         body, checksum = self._mangle(body, body_checksum(body), fault, kind)
         return VersionEnvelope(

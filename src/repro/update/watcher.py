@@ -42,7 +42,7 @@ import datetime
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.history.version import rule_digest
 from repro.pipeline.store import ArtifactStore
@@ -71,6 +71,8 @@ __all__ = [
 #: Stage name the packed per-version blobs are stored under in the
 #: artifact pipeline (content-addressed by packed fingerprint).
 ARTIFACT_STAGE = "update-packed"
+
+_T = TypeVar("_T")
 
 
 class UpdateValidationError(RuntimeError):
@@ -285,7 +287,7 @@ class Watcher:
         with self._lock:
             self._polls += 1
             poll = self._polls
-            head, attempts, reason = self._fetch_head()
+            head, attempts, reason = self._with_retries(self._upstream.head)
             if head is None:
                 self._failed_polls += 1
                 record = IngestRecord(
@@ -317,7 +319,13 @@ class Watcher:
                         self._resynced += 1
             return tuple(records)
 
-    def _fetch_head(self) -> tuple["HeadInfo | None", int, str]:
+    def _with_retries(self, call: Callable[[], _T]) -> tuple[_T | None, int, str]:
+        """Run ``call`` under the retry policy's attempts and backoff.
+
+        Returns ``(result, attempts, reason)``: ``result`` is ``None``
+        when every attempt failed, and ``reason`` is then the last
+        failure's message.
+        """
         policy = self._config.retry
         reason = "unknown"
         for attempt in range(1, policy.max_attempts + 1):
@@ -325,46 +333,39 @@ class Watcher:
             if delay:
                 self._sleep(delay)
             try:
-                return self._upstream.head(), attempt, ""
-            except UpstreamError as exc:
-                reason = str(exc)
+                return call(), attempt, ""
+            except (UpstreamError, UpdateValidationError) as exc:
+                reason = str(exc) or repr(exc)
         return None, policy.max_attempts, reason
 
     def _ingest_version(self, poll: int, index: int) -> IngestRecord:
         source = "full" if self._resync_needed else "patch"
-        policy = self._config.retry
-        reason = "unknown"
-        for attempt in range(1, policy.max_attempts + 1):
-            delay = policy.backoff(attempt)
-            if delay:
-                self._sleep(delay)
-            try:
-                envelope = (
-                    self._upstream.full(index)
-                    if source == "full"
-                    else self._upstream.patch(index)
-                )
-                snapshot = self._validate_and_ingest(envelope, source)
-            except (UpstreamError, UpdateValidationError) as exc:
-                reason = str(exc) or repr(exc)
-                continue
+        fetch = self._upstream.full if source == "full" else self._upstream.patch
+
+        def fetch_and_ingest() -> tuple[VersionEnvelope, PslSnapshot]:
+            envelope = fetch(index)
+            return envelope, self._validate_and_ingest(envelope, source)
+
+        result, attempts, reason = self._with_retries(fetch_and_ingest)
+        if result is None:
             return IngestRecord(
                 poll=poll,
                 upstream_index=index,
-                action="resynced" if source == "full" else "accepted",
+                action="quarantined",
                 source=source,
-                attempts=attempt,
-                date=envelope.date.isoformat(),
-                commit=envelope.commit,
-                fingerprint=snapshot.fingerprint,
+                attempts=attempts,
+                reason=reason,
             )
+        envelope, snapshot = result
         return IngestRecord(
             poll=poll,
             upstream_index=index,
-            action="quarantined",
+            action="resynced" if source == "full" else "accepted",
             source=source,
-            attempts=policy.max_attempts,
-            reason=reason,
+            attempts=attempts,
+            date=envelope.date.isoformat(),
+            commit=envelope.commit,
+            fingerprint=snapshot.fingerprint,
         )
 
     # -- validation (everything happens before anything publishes) ----------

@@ -7,8 +7,9 @@ models that dataset and the operations over it:
 * :mod:`repro.webgraph.records` — pages and requests;
 * :mod:`repro.webgraph.archive` — the snapshot container with JSONL
   persistence;
-* :mod:`repro.webgraph.sites` — eTLD+1 site grouping, including the
-  incremental regrouper that makes the 1,142-version sweep tractable;
+* :mod:`repro.webgraph.sites` — eTLD+1 site grouping under one list
+  version (the per-version reference the classify engine's sweep is
+  tested against);
 * :mod:`repro.webgraph.thirdparty` — third-party request
   classification (Figure 6);
 * :mod:`repro.webgraph.synthesis` — the deterministic crawl-snapshot
@@ -28,7 +29,6 @@ from repro.webgraph.requestlog import (
     record_count,
 )
 from repro.webgraph.sites import (
-    IncrementalGrouper,
     group_sites,
     reversed_labels_of,
     site_for_reversed,
@@ -48,7 +48,6 @@ from repro.webgraph.thirdparty import count_third_party
 __all__ = [
     "Crawler",
     "Document",
-    "IncrementalGrouper",
     "Page",
     "RequestLogConfig",
     "Snapshot",

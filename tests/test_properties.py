@@ -5,17 +5,20 @@ These are the load-bearing correctness arguments:
 * punycode and the ``.dat`` format round-trip;
 * the trie agrees with the brute-force oracle on arbitrary rule sets
   and hostnames;
-* the incremental site grouper agrees with one-shot grouping after
-  arbitrary delta sequences;
+* the classify engine's delta-replayed grouping agrees with one-shot
+  grouping after arbitrary delta sequences;
 * structural invariants of the lookup algorithm itself (the suffix is
   a suffix; the registrable domain is suffix plus one label; site
   assignment is idempotent under normalization).
 """
 
+import datetime
 import string
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.boundaries import run_sweep
+from repro.history.store import VersionStore
 from repro.psl import punycode
 from repro.psl.diff import RuleDelta, diff_rules
 from repro.psl.list import PublicSuffixList
@@ -23,7 +26,8 @@ from repro.psl.parser import parse_psl
 from repro.psl.rules import Rule, Section
 from repro.psl.serialize import serialize_psl
 from repro.psl.trie import SuffixTrie, naive_prevailing
-from repro.webgraph.sites import IncrementalGrouper, group_sites
+from repro.webgraph.archive import Snapshot
+from repro.webgraph.sites import group_sites
 
 # -- strategies ---------------------------------------------------------------
 
@@ -175,26 +179,49 @@ class TestLookupProperties:
 # -- incremental grouping ----------------------------------------------------------
 
 
+#: A rule no drawn hostname sits under (drawn labels are at most eight
+#: characters): every version carries it, so none is an empty commit.
+_ANCHOR = Rule.parse("placeholder")
+
+
+def _store_of(rule_steps):
+    """A VersionStore walking through ``rule_steps`` (plus the anchor)."""
+    store = VersionStore()
+    day = datetime.date(2020, 1, 1)
+    current: set[Rule] = set()
+    for step_rules in rule_steps:
+        target = set(step_rules) | {_ANCHOR}
+        delta = RuleDelta(
+            added=frozenset(target - current),
+            removed=frozenset(current - target),
+        )
+        if delta:
+            store.commit(day, delta)
+            day += datetime.timedelta(days=1)
+        current = target
+    return store
+
+
 class TestIncrementalProperties:
+    """The classify engine's delta replay behind :func:`run_sweep` — the
+    only grouping maintained across versions — against one-shot
+    grouping on each checkout."""
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(hostname_labels().map(".".join), min_size=1, max_size=30, unique=True),
         st.lists(rule_sets, min_size=1, max_size=5),
     )
     def test_incremental_equals_one_shot(self, hostnames, rule_steps):
-        grouper = IncrementalGrouper([], hostnames)
-        current: set[Rule] = set()
-        for step_rules in rule_steps:
-            target = set(step_rules)
-            delta = RuleDelta(
-                added=frozenset(target - current),
-                removed=frozenset(current - target),
+        store = _store_of([[]] + rule_steps)
+        sweep = run_sweep(store, Snapshot(extra_hostnames=set(hostnames)))
+        latest = group_sites(PublicSuffixList(set(rule_steps[-1]) | {_ANCHOR}), hostnames)
+        for index, point in enumerate(sweep.points):
+            assignment = group_sites(store.checkout(index), hostnames)
+            assert point.site_count == len(set(assignment.values()))
+            assert point.diff_vs_latest == sum(
+                1 for host in hostnames if assignment[host] != latest[host]
             )
-            if delta:
-                grouper.apply(delta)
-            current = target
-        expected = group_sites(PublicSuffixList(current), hostnames)
-        assert dict(grouper.assignment) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -202,5 +229,7 @@ class TestIncrementalProperties:
         rule_sets,
     )
     def test_site_count_matches_assignment(self, hostnames, rules):
-        grouper = IncrementalGrouper(rules, hostnames)
-        assert grouper.site_count == len(set(grouper.assignment.values()))
+        sweep = run_sweep(_store_of([rules]), Snapshot(extra_hostnames=set(hostnames)))
+        assignment = group_sites(PublicSuffixList(rules), hostnames)
+        assert sweep.first.site_count == len(set(assignment.values()))
+        assert sweep.total_hostnames == len(hostnames)

@@ -351,3 +351,13 @@ class TestSmokeHarness:
         assert failures == []
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+class TestPrefixStore:
+    def test_out_of_range_counts_are_rejected(self):
+        from repro.serve.cli import prefix_store
+
+        full = make_store()
+        for count in (0, len(full) + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                prefix_store(full, count)

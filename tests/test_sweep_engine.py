@@ -1,4 +1,4 @@
-"""The Figure 5-7 sweep vs. the one-shot and incremental oracles.
+"""The Figure 5-7 sweep vs. per-version one-shot oracles.
 
 :func:`~repro.analysis.boundaries.run_sweep` runs the classify engine
 over a :class:`VersionStore` (dict-trie delta replay) and a snapshot
@@ -8,10 +8,11 @@ from rebuilding the world per version.  These tests hold it to that:
 
 * property tests replay randomized delta sequences (normal, wildcard,
   and exception rules) over randomized hostname universes and compare
-  every per-version number against ``group_sites`` on a fresh checkout
-  and against an :class:`IncrementalGrouper` replay — at the default
-  chunking and at one host per chunk, where every cross-host request
-  pair carries an occurrence-0 foreign host;
+  every per-version number (sites, divergence from the latest list,
+  third-party requests) against ``group_sites`` and the streaming
+  third-party count on a fresh checkout — at the default chunking and
+  at one host per chunk, where every cross-host request pair carries
+  an occurrence-0 foreign host;
 * a deterministic multi-chunk run asserts ``workers=2`` output is
   bit-identical to ``workers=1``;
 * unit tests pin the snapshot chunk planner and validation edges.
@@ -34,7 +35,7 @@ from repro.psl.diff import RuleDelta
 from repro.psl.rules import Rule
 from repro.webgraph.archive import Snapshot
 from repro.webgraph.records import Page
-from repro.webgraph.sites import IncrementalGrouper, group_sites
+from repro.webgraph.sites import group_sites
 from repro.webgraph.stream import count_third_party_streaming
 
 # -- strategies (the idiom of test_properties.py) -----------------------------
@@ -155,19 +156,6 @@ class TestEngineMatchesOracles:
             third, total = count_third_party_streaming(store.checkout(index), pairs)
             assert total == len(pairs) == sweep.total_requests
             assert point.third_party_requests == third
-
-    @settings(max_examples=40, deadline=None)
-    @given(hostnames_strategy, st.lists(rule_sets, min_size=1, max_size=5))
-    def test_serial_sweep_equals_incremental_grouper_replay(self, hostnames, rule_steps):
-        store = store_from_steps(rule_steps)
-        sweep = run_sweep(store, snapshot_of(hostnames))
-
-        grouper = IncrementalGrouper(store.rules_at(0), hostnames)
-        replay = [grouper.site_count]
-        for version in store.versions[1:]:
-            grouper.apply(version.delta)
-            replay.append(grouper.site_count)
-        assert [point.site_count for point in sweep.points] == replay
 
     @settings(max_examples=25, deadline=None)
     @given(hostnames_strategy, st.lists(rule_sets, min_size=2, max_size=4))

@@ -25,13 +25,12 @@ from repro.update.slo import (
     UpdateStatus,
     evaluate,
 )
+from repro.runtime.faults import Fault, FaultPlan
 from repro.update.upstream import (
     ALWAYS,
     HEAD_KEY,
     SyntheticUpstream,
-    UpstreamFault,
     UpstreamFaultKind,
-    UpstreamFaultPlan,
 )
 from repro.update.watcher import Watcher, WatcherConfig
 
@@ -107,9 +106,9 @@ class TestWatcherStatus:
         # versions-behind SLO forever (it has its own gauge).
         truth = make_truth()
         registry = SnapshotRegistry(make_prefix(truth, 2))
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             faults={
-                key: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)
+                key: Fault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)
                 for key in [f"patch:{i}" for i in range(2, 6)]
                 + [f"full:{i}" for i in range(2, 6)]
             }
@@ -160,8 +159,8 @@ class TestHttpSurface:
     def served(self):
         truth = make_truth()
         registry = SnapshotRegistry(make_prefix(truth, 3))
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=3)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=3)}
         )
         upstream = SyntheticUpstream(truth, plan=plan, sleep=lambda _: None)
         watcher = Watcher(

@@ -16,13 +16,12 @@ import pytest
 from repro.history.store import VersionStore
 from repro.psl.diff import RuleDelta
 from repro.psl.rules import Rule
+from repro.runtime.faults import Fault, FaultKind, FaultPlan
 from repro.update.upstream import (
     ALWAYS,
     HEAD_KEY,
     SyntheticUpstream,
-    UpstreamFault,
     UpstreamFaultKind,
-    UpstreamFaultPlan,
     UpstreamTimeout,
     UpstreamUnreachable,
     body_checksum,
@@ -142,8 +141,8 @@ class TestEnvelopes:
 
 class TestFaults:
     def test_unreachable_clears_after_its_attempts(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
         )
         upstream = SyntheticUpstream(truth, plan=plan)
         with pytest.raises(UpstreamUnreachable):
@@ -153,8 +152,8 @@ class TestFaults:
         assert upstream.head().index == len(truth) - 1  # attempt 3 succeeds
 
     def test_always_never_clears(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={patch_key(1): UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)}
+        plan = FaultPlan(
+            faults={patch_key(1): Fault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)}
         )
         upstream = SyntheticUpstream(truth, plan=plan)
         for _ in range(5):
@@ -163,8 +162,8 @@ class TestFaults:
 
     def test_hang_past_the_deadline_times_out(self, truth):
         slept: list[float] = []
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.HANG, hang_seconds=30.0)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.HANG, hang_seconds=30.0)}
         )
         upstream = SyntheticUpstream(
             truth, plan=plan, client_timeout=2.0, sleep=slept.append
@@ -177,8 +176,8 @@ class TestFaults:
 
     def test_hang_below_the_deadline_is_merely_slow(self, truth):
         slept: list[float] = []
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.HANG, hang_seconds=1.0)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.HANG, hang_seconds=1.0)}
         )
         upstream = SyntheticUpstream(
             truth, plan=plan, client_timeout=2.0, sleep=slept.append
@@ -187,8 +186,8 @@ class TestFaults:
         assert slept == [1.0]
 
     def test_truncate_is_caught_by_the_checksum(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={patch_key(3): UpstreamFault(UpstreamFaultKind.TRUNCATE)}
+        plan = FaultPlan(
+            faults={patch_key(3): Fault(UpstreamFaultKind.TRUNCATE)}
         )
         upstream = SyntheticUpstream(truth, plan=plan)
         envelope = upstream.patch(3)
@@ -197,8 +196,8 @@ class TestFaults:
         assert body_checksum(clean.body) == clean.checksum
 
     def test_bad_checksum_serves_intact_body_under_wrong_digest(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={patch_key(3): UpstreamFault(UpstreamFaultKind.BAD_CHECKSUM)}
+        plan = FaultPlan(
+            faults={patch_key(3): Fault(UpstreamFaultKind.BAD_CHECKSUM)}
         )
         upstream = SyntheticUpstream(truth, plan=plan)
         envelope = upstream.patch(3)
@@ -206,8 +205,8 @@ class TestFaults:
         assert RuleDelta.from_patch(envelope.body) == truth.version(3).delta
 
     def test_corrupt_patch_passes_checksum_but_cannot_apply(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={patch_key(3): UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)}
+        plan = FaultPlan(
+            faults={patch_key(3): Fault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)}
         )
         upstream = SyntheticUpstream(truth, plan=plan)
         envelope = upstream.patch(3)
@@ -219,8 +218,8 @@ class TestFaults:
         assert poisoned  # removes a rule that never existed
 
     def test_corrupt_full_snapshot_fails_to_parse(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={full_key(3): UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH)}
+        plan = FaultPlan(
+            faults={full_key(3): Fault(UpstreamFaultKind.CORRUPT_PATCH)}
         )
         upstream = SyntheticUpstream(truth, plan=plan)
         envelope = upstream.full(3)
@@ -231,25 +230,29 @@ class TestFaults:
 
 class TestFaultPlan:
     def test_plan_round_trips_through_json(self):
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             faults={
-                HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=3),
-                patch_key(7): UpstreamFault(
+                HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=3),
+                patch_key(7): Fault(
                     UpstreamFaultKind.HANG, attempts=ALWAYS, hang_seconds=1.5
                 ),
             }
         )
-        assert UpstreamFaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(plan.to_json(), UpstreamFaultKind) == plan
+
+    def test_runtime_kinds_share_the_json_shape(self):
+        plan = FaultPlan(faults={"chunk-3": Fault(FaultKind.HANG, attempts=2, hang_seconds=0.5)})
+        assert FaultPlan.from_json(plan.to_json(), FaultKind) == plan
 
     def test_fault_validation(self):
         with pytest.raises(ValueError):
-            UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=0)
+            Fault(UpstreamFaultKind.UNREACHABLE, attempts=0)
         with pytest.raises(ValueError):
-            UpstreamFault(UpstreamFaultKind.HANG, hang_seconds=-1.0)
+            Fault(UpstreamFaultKind.HANG, hang_seconds=-1.0)
 
     def test_fault_for_respects_attempt_windows(self):
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
         )
         assert plan.fault_for(HEAD_KEY, 1) is not None
         assert plan.fault_for(HEAD_KEY, 2) is not None

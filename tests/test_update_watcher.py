@@ -18,13 +18,12 @@ from repro.pipeline.store import ArtifactStore
 from repro.runtime.executor import RetryPolicy
 from repro.serve.snapshots import SnapshotRegistry
 from repro.update.slo import HealthState, SloPolicy
+from repro.runtime.faults import Fault, FaultPlan
 from repro.update.upstream import (
     ALWAYS,
     HEAD_KEY,
     SyntheticUpstream,
-    UpstreamFault,
     UpstreamFaultKind,
-    UpstreamFaultPlan,
     full_key,
     patch_key,
 )
@@ -46,7 +45,7 @@ def make_watcher(
     truth: VersionStore,
     *,
     behind: int = 3,
-    plan: UpstreamFaultPlan | None = None,
+    plan: FaultPlan | None = None,
     **config_overrides,
 ) -> tuple[Watcher, SnapshotRegistry, SyntheticUpstream]:
     registry = SnapshotRegistry(make_prefix(truth, len(truth) - behind))
@@ -118,8 +117,8 @@ class TestHappyPath:
 
 class TestRetries:
     def test_transient_fault_is_retried_within_the_poll(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={patch_key(3): UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
+        plan = FaultPlan(
+            faults={patch_key(3): Fault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
         )
         watcher, registry, _ = make_watcher(truth, plan=plan)
         records = watcher.poll_once()
@@ -128,8 +127,8 @@ class TestRetries:
         assert len(registry.store) == len(truth)
 
     def test_truncated_body_is_retried_to_success(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={patch_key(4): UpstreamFault(UpstreamFaultKind.TRUNCATE, attempts=1)}
+        plan = FaultPlan(
+            faults={patch_key(4): Fault(UpstreamFaultKind.TRUNCATE, attempts=1)}
         )
         watcher, registry, _ = make_watcher(truth, plan=plan)
         by_index = {r.upstream_index: r for r in watcher.poll_once()}
@@ -138,8 +137,8 @@ class TestRetries:
 
     def test_backoff_follows_the_retry_policy(self, truth):
         slept: list[float] = []
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=2)}
         )
         registry = SnapshotRegistry(make_prefix(truth, 3))
         upstream = SyntheticUpstream(truth, plan=plan, sleep=lambda _: None)
@@ -159,9 +158,9 @@ class TestRetries:
 
 class TestQuarantine:
     def test_poisoned_patch_is_quarantined_not_blocking(self, truth):
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             faults={
-                patch_key(4): UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)
+                patch_key(4): Fault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)
             }
         )
         watcher, registry, _ = make_watcher(truth, plan=plan)
@@ -175,9 +174,9 @@ class TestQuarantine:
         assert registry.active.rule_count == truth.latest.rule_count
 
     def test_bad_checksum_forever_quarantines(self, truth):
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             faults={
-                patch_key(4): UpstreamFault(UpstreamFaultKind.BAD_CHECKSUM, attempts=ALWAYS)
+                patch_key(4): Fault(UpstreamFaultKind.BAD_CHECKSUM, attempts=ALWAYS)
             }
         )
         watcher, _, _ = make_watcher(truth, plan=plan)
@@ -187,10 +186,10 @@ class TestQuarantine:
         assert by_index[5].action == "resynced"
 
     def test_resync_itself_retries_transient_faults(self, truth):
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             faults={
-                patch_key(4): UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS),
-                full_key(5): UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=1),
+                patch_key(4): Fault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS),
+                full_key(5): Fault(UpstreamFaultKind.UNREACHABLE, attempts=1),
             }
         )
         watcher, registry, _ = make_watcher(truth, plan=plan)
@@ -200,13 +199,13 @@ class TestQuarantine:
         assert registry.active.rule_count == truth.latest.rule_count
 
     def test_all_versions_poisoned_leaves_last_good_serving(self, truth):
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             faults={
-                patch_key(i): UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)
+                patch_key(i): Fault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS)
                 for i in (3, 4, 5)
             }
             | {
-                full_key(i): UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)
+                full_key(i): Fault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)
                 for i in (3, 4, 5)
             }
         )
@@ -219,8 +218,8 @@ class TestQuarantine:
         assert len(registry.store) == len(truth) - 3
 
     def test_head_outage_is_a_failed_poll(self, truth):
-        plan = UpstreamFaultPlan(
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)}
+        plan = FaultPlan(
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=ALWAYS)}
         )
         watcher, _, _ = make_watcher(truth, plan=plan)
         (record,) = watcher.poll_once()
@@ -232,9 +231,9 @@ class TestQuarantine:
         assert watcher.status().state is HealthState.DEGRADED
 
     def test_failed_polls_reset_on_recovery(self, truth):
-        plan = UpstreamFaultPlan(
+        plan = FaultPlan(
             # Fails the whole first poll (3 retry attempts), then heals.
-            faults={HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=3)}
+            faults={HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=3)}
         )
         watcher, _, _ = make_watcher(truth, plan=plan)
         watcher.poll_once()
@@ -247,14 +246,14 @@ class TestQuarantine:
 
 class TestReplay:
     FULL_PLAN = {
-        HEAD_KEY: UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=3),
-        patch_key(3): UpstreamFault(UpstreamFaultKind.TRUNCATE, attempts=1),
-        patch_key(4): UpstreamFault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS),
-        full_key(5): UpstreamFault(UpstreamFaultKind.UNREACHABLE, attempts=1),
+        HEAD_KEY: Fault(UpstreamFaultKind.UNREACHABLE, attempts=3),
+        patch_key(3): Fault(UpstreamFaultKind.TRUNCATE, attempts=1),
+        patch_key(4): Fault(UpstreamFaultKind.CORRUPT_PATCH, attempts=ALWAYS),
+        full_key(5): Fault(UpstreamFaultKind.UNREACHABLE, attempts=1),
     }
 
     def run(self, truth, polls: int) -> Watcher:
-        watcher, _, _ = make_watcher(truth, plan=UpstreamFaultPlan(faults=self.FULL_PLAN))
+        watcher, _, _ = make_watcher(truth, plan=FaultPlan(faults=self.FULL_PLAN))
         for _ in range(polls):
             watcher.poll_once()
         return watcher

@@ -1,9 +1,8 @@
-"""Tests for site grouping, one-shot and incremental."""
+"""Tests for one-shot site grouping."""
 
-from repro.psl.diff import RuleDelta
 from repro.psl.rules import Rule
 from repro.psl.trie import SuffixTrie
-from repro.webgraph.sites import IncrementalGrouper, group_sites, site_for, site_metrics
+from repro.webgraph.sites import group_sites, site_for, site_metrics
 
 HOSTS = [
     "a.github.io",
@@ -56,68 +55,3 @@ class TestGroupSites:
     def test_empty_metrics(self):
         metrics = site_metrics({})
         assert metrics.site_count == 0 and metrics.mean_site_size == 0.0
-
-
-class TestIncrementalGrouper:
-    def test_initial_matches_one_shot(self, small_psl):
-        grouper = IncrementalGrouper(small_psl.rules, HOSTS)
-        assert dict(grouper.assignment) == group_sites(small_psl, HOSTS)
-
-    def test_apply_add_rule(self):
-        grouper = IncrementalGrouper(_rules("com", "io"), HOSTS)
-        assert grouper.site_of("a.github.io") == "github.io"
-        changed = grouper.apply(
-            RuleDelta(frozenset(_rules("github.io")), frozenset())
-        )
-        assert set(changed) == {"a.github.io", "b.github.io"}
-        assert grouper.site_of("a.github.io") == "a.github.io"
-
-    def test_apply_remove_rule(self):
-        grouper = IncrementalGrouper(_rules("com", "io", "github.io"), HOSTS)
-        changed = grouper.apply(
-            RuleDelta(frozenset(), frozenset(_rules("github.io")))
-        )
-        assert set(changed) == {"a.github.io", "b.github.io"}
-        assert grouper.site_of("a.github.io") == "github.io"
-
-    def test_site_count_maintained(self):
-        grouper = IncrementalGrouper(_rules("com", "io"), HOSTS)
-        before = grouper.site_count
-        grouper.apply(RuleDelta(frozenset(_rules("github.io")), frozenset()))
-        # The github.io site (3 hosts) splits into 3 one-host sites.
-        assert grouper.site_count == before + 2
-
-    def test_unrelated_delta_changes_nothing(self):
-        grouper = IncrementalGrouper(_rules("com", "io"), HOSTS)
-        changed = grouper.apply(RuleDelta(frozenset(_rules("nothing.example")), frozenset()))
-        assert changed == []
-
-    def test_wildcard_delta(self):
-        hosts = ["a.b.ck", "b.ck", "c.ck"]
-        grouper = IncrementalGrouper([], hosts)
-        assert grouper.site_of("a.b.ck") == "b.ck"
-        grouper.apply(RuleDelta(frozenset(_rules("*.ck")), frozenset()))
-        assert grouper.site_of("a.b.ck") == "a.b.ck"
-
-    def test_equivalence_after_many_deltas(self, small_psl):
-        grouper = IncrementalGrouper([], HOSTS)
-        deltas = [
-            RuleDelta(frozenset(_rules("com", "io")), frozenset()),
-            RuleDelta(frozenset(_rules("github.io")), frozenset()),
-            RuleDelta(frozenset(_rules("co.uk", "uk")), frozenset()),
-            RuleDelta(frozenset(), frozenset(_rules("io"))),
-        ]
-        for delta in deltas:
-            grouper.apply(delta)
-        rules = set()
-        for delta in deltas:
-            rules -= delta.removed
-            rules |= delta.added
-        from repro.psl.list import PublicSuffixList
-
-        assert dict(grouper.assignment) == group_sites(PublicSuffixList(rules), HOSTS)
-
-    def test_metrics_object(self):
-        grouper = IncrementalGrouper(_rules("com"), ["a.com", "b.com"])
-        metrics = grouper.metrics()
-        assert metrics.hostname_count == 2 and metrics.site_count == 2

@@ -1,11 +1,19 @@
-"""Tests for third-party request classification."""
+"""Tests for third-party request classification.
 
-from repro.psl.diff import RuleDelta
+The one-shot count is the per-version reference; ``TestIncremental``
+holds the classify engine's count across list versions (the only
+incremental one, behind :func:`run_sweep`) to it on every checkout.
+"""
+
+import datetime
+
+from repro.analysis.boundaries import run_sweep
+from repro.history.store import VersionStore
 from repro.psl.rules import Rule
 from repro.webgraph.archive import Snapshot
 from repro.webgraph.records import Page
-from repro.webgraph.sites import IncrementalGrouper, group_sites
-from repro.webgraph.thirdparty import ThirdPartyCounter, count_third_party
+from repro.webgraph.sites import group_sites
+from repro.webgraph.thirdparty import count_third_party
 
 
 def _rules(*texts):
@@ -17,6 +25,21 @@ def _snapshot():
     snap.add_page(Page("www.shop.com", ("cdn.shop.com", "ads.tracker.com")))
     snap.add_page(Page("a.pages.io", ("b.pages.io", "a.pages.io")))
     return snap
+
+
+def _store(initial, *deltas):
+    """Version 0 holds ``initial``; each ``(added, removed)`` adds one."""
+    store = VersionStore()
+    day = datetime.date(2020, 1, 1)
+    store.commit_rules(day, added=initial)
+    for added, removed in deltas:
+        day += datetime.timedelta(days=1)
+        store.commit_rules(day, added=_rules(*added), removed=_rules(*removed))
+    return store
+
+
+def _third_party_series(store, snap):
+    return [point.third_party_requests for point in run_sweep(store, snap).points]
 
 
 class TestOneShot:
@@ -37,36 +60,33 @@ class TestOneShot:
 class TestIncremental:
     def test_initial_count_matches_one_shot(self, small_psl):
         snap = _snapshot()
+        sweep = run_sweep(_store(small_psl.rules), snap)
         assignment = group_sites(small_psl, snap.hostnames)
-        counter = ThirdPartyCounter(assignment, snap)
-        assert counter.count == count_third_party(assignment, snap)
-        assert counter.pair_count == snap.request_count
+        assert sweep.first.third_party_requests == count_third_party(assignment, snap)
+        assert sweep.total_requests == snap.request_count
 
     def test_update_after_rule_addition(self):
         snap = _snapshot()
-        grouper = IncrementalGrouper(_rules("com", "io"), snap.hostnames)
-        counter = ThirdPartyCounter(grouper.assignment, snap)
-        before = counter.count  # a/b.pages.io same site -> 1 third-party (ads)
-        changed = grouper.apply(RuleDelta(frozenset(_rules("pages.io")), frozenset()))
-        after = counter.update(grouper.assignment, changed)
+        store = _store(_rules("com", "io"), (["pages.io"], []))
+        before, after = _third_party_series(store, snap)
+        assert before == 1  # a/b.pages.io same site -> only ads is third-party
         # The cross-tenant request b.pages.io is now third-party too.
         assert after == before + 1
 
     def test_update_is_consistent_with_recount(self):
         snap = _snapshot()
-        grouper = IncrementalGrouper(_rules("com"), snap.hostnames)
-        counter = ThirdPartyCounter(grouper.assignment, snap)
-        for delta in (
-            RuleDelta(frozenset(_rules("io")), frozenset()),
-            RuleDelta(frozenset(_rules("pages.io")), frozenset()),
-            RuleDelta(frozenset(), frozenset(_rules("pages.io"))),
-        ):
-            changed = grouper.apply(delta)
-            counter.update(grouper.assignment, changed)
-            assert counter.count == count_third_party(grouper.assignment, snap)
+        store = _store(
+            _rules("com"), (["io"], []), (["pages.io"], []), ([], ["pages.io"])
+        )
+        recount = [
+            count_third_party(group_sites(store.checkout(index), snap.hostnames), snap)
+            for index in range(len(store))
+        ]
+        assert _third_party_series(store, snap) == recount
 
     def test_update_with_no_changes(self, small_psl):
         snap = _snapshot()
-        assignment = group_sites(small_psl, snap.hostnames)
-        counter = ThirdPartyCounter(assignment, snap)
-        assert counter.update(assignment, []) == counter.count
+        # A rule no hostname of the snapshot sits under.
+        store = _store(small_psl.rules, (["unrelated.example"], []))
+        before, after = _third_party_series(store, snap)
+        assert after == before
