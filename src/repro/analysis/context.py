@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Optional
 from repro.analysis.boundaries import SweepResult, run_sweep
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
-from repro.pipeline import Pipeline, Stage, StageContext, memory_store
+from repro.pipeline import ArtifactStore, Pipeline, Stage, StageContext, memory_store
 from repro.psl.packed import pack_history
 from repro.repos.classifier import Classification, classify
 from repro.repos.corpus import CorpusConfig, build_corpus
@@ -193,11 +193,24 @@ def world_stages(
             name="packed",
             build=build_packed,
             upstream=("history",),
-            # Raw bytes on disk: the serving layer mmaps the artifact
-            # file itself (ArtifactStore.payload_path) so N server
-            # processes share one physical copy of the whole history.
+            # Raw bytes on disk: consumers mmap the artifact file itself
+            # (Pipeline.path) so N processes share one physical copy of
+            # the whole history.
             raw=True,
         ),
+    )
+
+
+def world_pipeline(seed: int, cache_dir: str | None) -> Pipeline:
+    """The world stages for ``seed`` over a disk store at ``cache_dir``,
+    or over a fresh memory-only store when it is ``None``.
+
+    ``psl-serve`` and ``psl-classify`` read their history and packed
+    blob through this: the same stages and fingerprints as
+    ``psl-repro --cache-dir``, so one store serves all three.
+    """
+    return Pipeline(
+        world_stages(seed, SnapshotConfig(seed=seed)), store=ArtifactStore(cache_dir)
     )
 
 

@@ -3,11 +3,11 @@
 One invocation classifies a synthetic request-log stream (the
 deterministic generator in :mod:`repro.webgraph.requestlog`) under a
 set of evenly spaced PSL versions and prints the per-version table.
-The heavy input — the packed ``PSLPAK1`` history — comes from the
-pipeline's content-addressed ``packed`` artifact when ``--cache-dir``
-is given (packing the full history once costs ~85 s on this class of
-host; every later run mmaps the cached blob in milliseconds), or is
-packed in-process otherwise.
+The heavy input — the packed ``PSLPAK1`` history — is the pipeline's
+content-addressed ``packed`` artifact, in ``--cache-dir`` when given
+and in ``--run-dir``'s own store otherwise (packing the full history
+once costs ~85 s on this class of host; every later run verifies and
+maps the cached blob without loading it).
 
 Scale harness: ``--frontier 1,3,10`` re-invokes this module once per
 scale factor in a fresh subprocess (so each point's peak RSS is
@@ -32,6 +32,7 @@ import tempfile
 import time
 
 from repro.classify.engine import ClassifyEngine, ClassifyResult, select_version_indexes
+from repro.classify.partials import _history
 from repro.webgraph.requestlog import RequestLogConfig, record_count
 
 #: Exit status when the run completed with quarantined chunks.
@@ -49,37 +50,19 @@ def peak_rss_mb() -> float:
     return (own + children) / 1024.0
 
 
-def packed_artifact_path(seed: int, cache_dir: str | None, run_dir: str) -> str:
-    """The on-disk packed history blob workers will mmap.
+def packed_artifact_path(seed: int, cache_dir: str | None, run_dir: str) -> str | None:
+    """The verified packed history blob workers will mmap.
 
-    With a cache directory, this is the pipeline's raw ``packed``
-    artifact (built once, shared by every later run and by
-    ``psl-serve --packed``).  Without one, the history is synthesized
-    and packed in-process and the blob parked in the run directory.
+    It is the world pipeline's raw ``packed`` artifact, in
+    ``cache_dir`` (built once, shared by every later run and by
+    ``psl-serve --packed``) or, without one, in a store under
+    ``run_dir/artifacts``.  Both stores are content-addressed, so a run
+    directory reused under another seed gets that seed's blob.
     """
-    if cache_dir is not None:
-        from repro.analysis.context import SweepSettings, world_stages
-        from repro.pipeline import ArtifactStore, Pipeline
-        from repro.webgraph.synthesis import SnapshotConfig
+    from repro.analysis.context import world_pipeline
 
-        artifacts = ArtifactStore(cache_dir)
-        pipeline = Pipeline(
-            world_stages(seed, SnapshotConfig(seed=seed), SweepSettings()),
-            store=artifacts,
-        )
-        pipeline.build("packed")
-        path = artifacts.payload_path("packed", pipeline.fingerprint_of("packed"))
-        if path is not None:
-            return path
-    from repro.history.synthesis import SynthesisConfig, synthesize_history
-    from repro.psl.packed import pack_history
-    from repro.runtime import atomic_write_bytes
-
-    path = os.path.join(run_dir, "packed.bin")
-    if not os.path.exists(path):
-        os.makedirs(run_dir, exist_ok=True)
-        atomic_write_bytes(path, pack_history(synthesize_history(SynthesisConfig(seed=seed))))
-    return path
+    store_dir = cache_dir if cache_dir is not None else os.path.join(run_dir, "artifacts")
+    return world_pipeline(seed, store_dir).path("packed")
 
 
 def write_csv(path: str, result: ClassifyResult) -> None:
@@ -213,9 +196,8 @@ def main(argv: list[str] | None = None) -> int:
             records=arguments.records,
             malformed_rate=arguments.malformed_rate,
         )
-        from repro.psl.packed import PackedHistory
-
-        total_versions = len(PackedHistory.load(packed))
+        # The engine's own key: the in-process worker reuses this open.
+        total_versions = len(_history(os.path.abspath(packed)))
         engine = ClassifyEngine(
             packed,
             version_indexes=select_version_indexes(total_versions, arguments.versions),

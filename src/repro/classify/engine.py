@@ -49,11 +49,11 @@ from repro.classify.partials import (
     PackedVersions,
     SpillReader,
     StoreVersions,
+    _history,
     classify_chunk,
     partial_validator,
 )
 from repro.history.store import VersionStore
-from repro.psl.packed import PackedHistory
 from repro.runtime import (
     CheckpointStore,
     ExecutionReport,
@@ -242,7 +242,9 @@ class ClassifyEngine:
         store = history if isinstance(history, VersionStore) else None
         if store is None:
             packed_path = os.path.abspath(history)
-            packed = PackedHistory.load(packed_path)
+            # The per-process open the in-process worker reuses: one
+            # CRC check per blob and process, not one per caller.
+            packed = _history(packed_path)
             total = len(packed)
         else:
             total = len(store)

@@ -32,12 +32,13 @@ prints under ``--explain`` and persists as JSON next to the store.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.fingerprint import fingerprint
-from repro.pipeline.store import Artifact, ArtifactStore, memory_store
+from repro.pipeline.store import ArtifactStore, memory_store
 
 __all__ = [
     "Pipeline",
@@ -76,7 +77,8 @@ class Stage:
     degraded sweep stays memory-only so no later run resumes from it.
     ``raw=True`` declares the stage's value is ``bytes`` to be stored
     verbatim (no pickle envelope) so consumers can ``mmap`` the
-    artifact file directly — the packed-snapshot kind.
+    artifact file :meth:`Pipeline.path` returns — the packed-snapshot
+    kind.
     """
 
     name: str
@@ -262,6 +264,11 @@ class Pipeline:
 
     # -- execution ------------------------------------------------------------
 
+    def _record(self, name: str, source: str, seconds: float, nbytes: int) -> None:
+        self.report.record(
+            StageExecution(name, self.fingerprint_of(name), source, seconds, nbytes)
+        )
+
     def build(self, name: str) -> Any:
         """The stage's value — loaded from the store when addressable,
         computed (and stored) otherwise."""
@@ -272,15 +279,7 @@ class Pipeline:
             found = self._store.get(name, stage_fingerprint)
             if found is not None:
                 value, artifact, source = found
-                self.report.record(
-                    StageExecution(
-                        stage=name,
-                        fingerprint=stage_fingerprint,
-                        source=source,
-                        seconds=time.perf_counter() - started,
-                        nbytes=artifact.nbytes,
-                    )
-                )
+                self._record(name, source, time.perf_counter() - started, artifact.nbytes)
                 return value
         inputs = {up: self.build(up) for up in stage.upstream}
         started = time.perf_counter()
@@ -295,22 +294,25 @@ class Pipeline:
                 name, stage_fingerprint, value, persist=persist, raw=stage.raw
             )
             nbytes = artifact.nbytes
-        self.report.record(
-            StageExecution(
-                stage=name,
-                fingerprint=stage_fingerprint,
-                source="computed",
-                seconds=elapsed,
-                nbytes=nbytes,
-            )
-        )
+        self._record(name, "computed", elapsed, nbytes)
         return value
 
-    def artifact(self, name: str) -> Artifact:
-        """Build ``name`` (if needed) and return its :class:`Artifact`."""
-        self.build(name)
-        found = self._store.get(name, self.fingerprint_of(name))
-        if found is not None:
-            return found[1]
-        # cache=False stages never store; synthesize a transient record.
-        return Artifact(name, self.fingerprint_of(name), "", 0, None)
+    def path(self, name: str) -> str | None:
+        """The digest-verified payload file of stage ``name``.
+
+        How ``mmap`` consumers open a raw artifact: a warm store answers
+        from the file alone (streamed through SHA-256, never loaded),
+        and the stage is built — and stored — only when no verified
+        file exists.  ``None`` when the store has no disk layer; the
+        caller then takes the bytes from :meth:`build`.
+        """
+        if not self._store.persistent:
+            return None
+        stage_fingerprint = self.fingerprint_of(name)
+        started = time.perf_counter()
+        path = self._store.payload_path(name, stage_fingerprint)
+        if path is None:
+            self.build(name)
+            return self._store.payload_path(name, stage_fingerprint)
+        self._record(name, "disk", time.perf_counter() - started, os.path.getsize(path))
+        return path

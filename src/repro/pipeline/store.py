@@ -88,6 +88,38 @@ class ArtifactStore:
 
     # -- reads ----------------------------------------------------------------
 
+    def _verified(
+        self, stage: str, fingerprint: str, *, read: bool
+    ) -> tuple[str, str, bytes | None, bool] | None:
+        """``(payload path, digest, payload, raw)`` for a disk artifact
+        whose bytes match its meta sidecar's SHA-256, else ``None``.
+
+        ``read=False`` streams the file through the hash and returns
+        ``payload=None``; either way the file is read once.
+        """
+        if self._directory is None:
+            return None
+        _, meta_path = self._paths(stage, fingerprint)
+        try:
+            with open(meta_path, encoding="utf-8") as handle:
+                meta = json.load(handle)
+            raw = meta.get("format", "pickle") == "raw"
+            payload_path, _ = self._paths(stage, fingerprint, raw=raw)
+            with open(payload_path, "rb") as handle:
+                if read:
+                    payload = handle.read()
+                    digest = hashlib.sha256(payload).hexdigest()
+                else:  # streamed (hashlib.file_digest needs Python 3.11)
+                    payload, sha, block = None, hashlib.sha256(), memoryview(bytearray(1 << 18))
+                    while count := handle.readinto(block):
+                        sha.update(block[:count])
+                    digest = sha.hexdigest()
+            if digest != meta.get("digest"):
+                return None
+        except (OSError, ValueError, KeyError, AttributeError):
+            return None
+        return payload_path, digest, payload, raw
+
     def get(self, stage: str, fingerprint: str) -> tuple[Any, Artifact, str] | None:
         """The stored value for a stage fingerprint, or ``None``.
 
@@ -99,21 +131,13 @@ class ArtifactStore:
         entry = self._memory.get((stage, fingerprint))
         if entry is not None:
             return entry[0], entry[1], "memory"
-        if self._directory is None:
+        found = self._verified(stage, fingerprint, read=True)
+        if found is None:
             return None
-        _, meta_path = self._paths(stage, fingerprint)
+        payload_path, digest, payload, raw = found
         try:
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            raw = meta.get("format", "pickle") == "raw"
-            payload_path, _ = self._paths(stage, fingerprint, raw=raw)
-            with open(payload_path, "rb") as handle:
-                payload = handle.read()
-            digest = hashlib.sha256(payload).hexdigest()
-            if digest != meta.get("digest"):
-                return None
             value = payload if raw else pickle.loads(payload)
-        except (OSError, ValueError, KeyError, EOFError,
+        except (ValueError, KeyError, EOFError,
                 pickle.UnpicklingError, AttributeError, ImportError):
             return None
         artifact = Artifact(
@@ -136,24 +160,12 @@ class ArtifactStore:
 
         The zero-copy entry point: ``mmap`` consumers (packed snapshot
         histories) want the artifact *file*, not its bytes in the heap.
-        The payload digest is checked against the meta sidecar first —
-        a corrupt artifact returns ``None``, same as :meth:`get`.
+        The payload is streamed through SHA-256 and checked against the
+        meta sidecar first, never loaded — a corrupt artifact returns
+        ``None``, same as :meth:`get`.
         """
-        if self._directory is None:
-            return None
-        _, meta_path = self._paths(stage, fingerprint)
-        try:
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            raw = meta.get("format", "pickle") == "raw"
-            payload_path, _ = self._paths(stage, fingerprint, raw=raw)
-            with open(payload_path, "rb") as handle:
-                digest = hashlib.sha256(handle.read()).hexdigest()
-            if digest != meta.get("digest"):
-                return None
-        except (OSError, ValueError, KeyError):
-            return None
-        return payload_path
+        found = self._verified(stage, fingerprint, read=False)
+        return found[0] if found is not None else None
 
     # -- writes ---------------------------------------------------------------
 

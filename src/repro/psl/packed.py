@@ -656,7 +656,8 @@ class PackedHistory:
     collector reap them, then close.
     """
 
-    def __init__(self, buffer, *, path: str | None = None, _mmap: mmap.mmap | None = None) -> None:
+    def __init__(self, buffer, *, path: str | None = None, _mmap: mmap.mmap | None = None,
+                 _crc: int | None = None) -> None:
         self._buffer = buffer
         self._mmap = _mmap
         self._path = path
@@ -695,7 +696,9 @@ class PackedHistory:
                 f"length mismatch: header declares {total} bytes, buffer has {size}"
                 " (truncated or padded artifact)"
             )
-        actual_crc = zlib.crc32(view[_CRC_START:])
+        # load() hands in the CRC it streamed off the file, so checking
+        # a mapped buffer never faults its pages in.
+        actual_crc = zlib.crc32(view[_CRC_START:]) if _crc is None else _crc
         if actual_crc != crc:
             self._release()
             raise PackedFormatError(
@@ -729,22 +732,25 @@ class PackedHistory:
         return cls(buffer)
 
     @classmethod
-    def load(cls, path: str, *, use_mmap: bool = True) -> "PackedHistory":
-        """Open a packed artifact file, memory-mapped by default.
+    def load(cls, path: str) -> "PackedHistory":
+        """Open a packed artifact file, memory-mapped read-only.
 
-        The mmap path is the multi-process one: each worker maps the
-        same on-disk artifact and the OS shares the pages.  Pass
-        ``use_mmap=False`` to read a private in-heap copy instead.
+        Each process mapping the same on-disk artifact shares its pages
+        through the page cache.  The CRC-32 is computed by reading the
+        file in blocks before it is mapped, so validation faults in no
+        mapped page: a reader's resident set grows only with the
+        versions it walks.
         """
-        size = os.path.getsize(path)
-        if size == 0:
+        if os.path.getsize(path) == 0:
             raise PackedFormatError(f"packed artifact {path!r} is empty")
         with open(path, "rb") as handle:
-            if not use_mmap:
-                return cls(handle.read(), path=path)
+            handle.seek(_CRC_START)
+            crc, block = 0, memoryview(bytearray(1 << 20))
+            while count := handle.readinto(block):
+                crc = zlib.crc32(block[:count], crc)
             mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         try:
-            return cls(mapped, path=path, _mmap=mapped)
+            return cls(mapped, path=path, _mmap=mapped, _crc=crc)
         except PackedFormatError:
             mapped.close()
             raise

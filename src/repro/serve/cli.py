@@ -44,7 +44,6 @@ import urllib.request
 from typing import Callable
 
 from repro.history.store import VersionStore
-from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.serve.http import DEFAULT_MAX_INFLIGHT, PslServer, serve_forever
 from repro.serve.snapshots import SnapshotRegistry
 
@@ -53,46 +52,27 @@ DEFAULT_SEED = 20230701
 
 
 def build_world(seed: int, cache_dir: str | None, *, packed: bool):
-    """The history plus (optionally) its packed buffer.
+    """The history plus (optionally) its packed history.
 
-    With a ``cache_dir`` the history is the paper pipeline's
-    ``history`` stage verbatim — same stage, same fingerprint — so the
-    server and ``psl-repro`` share one artifact.  With ``packed=True`` and a ``cache_dir``, the packed buffer comes
-    from the pipeline's ``packed`` stage as a **raw artifact** and is
-    ``mmap``-ed straight off the store's payload file — the
-    multi-process warm path: every server process mapping the same
-    artifact file shares one physical copy of the full history.
-    Without a cache directory the buffer is packed in-process (still
-    flat and immutable, just not OS-shared).
+    Both are the paper pipeline's world stages
+    (:func:`~repro.analysis.context.world_pipeline`), so the server and
+    ``psl-repro`` share one artifact.  With a ``cache_dir`` the packed
+    history is ``mmap``-ed straight off the store's verified payload
+    file: every server process mapping it shares one physical copy.
+    Without one the stages run over a memory-only store and the buffer
+    stays in this process's heap.
     """
-    if cache_dir is None:
-        store = synthesize_history(SynthesisConfig(seed=seed))
-        if not packed:
-            return store, None
-        from repro.psl.packed import PackedHistory, pack_history
+    from repro.analysis.context import world_pipeline
+    from repro.psl.packed import PackedHistory
 
-        return store, PackedHistory.from_buffer(pack_history(store))
-
-    from repro.analysis.context import SweepSettings, world_stages
-    from repro.pipeline import ArtifactStore, Pipeline
-    from repro.webgraph.synthesis import SnapshotConfig
-
-    artifacts = ArtifactStore(cache_dir)
-    pipeline = Pipeline(
-        world_stages(seed, SnapshotConfig(seed=seed), SweepSettings()),
-        store=artifacts,
-    )
+    pipeline = world_pipeline(seed, cache_dir)
     store = pipeline.build("history")
     if not packed:
         return store, None
-    from repro.psl.packed import PackedHistory, pack_history
-
-    pipeline.build("packed")  # ensure the raw artifact exists on disk
-    path = artifacts.payload_path("packed", pipeline.fingerprint_of("packed"))
-    if path is not None:
-        return store, PackedHistory.load(path)  # mmap: OS-shared pages
-    # No verified payload file (e.g. a memory-only store): pack inline.
-    return store, PackedHistory.from_buffer(pack_history(store))
+    path = pipeline.path("packed")
+    if path is None:
+        return store, PackedHistory.from_buffer(pipeline.build("packed"))
+    return store, PackedHistory.load(path)  # mmap: OS-shared pages
 
 
 def prefix_store(full: VersionStore, count: int) -> VersionStore:

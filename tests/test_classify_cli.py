@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import csv
+import datetime
 import json
 import os
+import random
 
 import pytest
 
+import repro.analysis.context
+import repro.history.synthesis
 from repro.classify.cli import EXIT_DEGRADED, main
+from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.psl.packed import pack_history
+from repro.psl.rules import Rule
 
 TEST_SEED = 20230701
 
@@ -82,6 +88,40 @@ class TestMain:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--packed", packed_path, "--workers", "0")
         assert excinfo.value.code == 2
+
+    def test_run_dir_reused_under_another_seed_classifies_that_seed(
+        self, tmp_path, monkeypatch
+    ):
+        def seeded_history(config: SynthesisConfig) -> VersionStore:
+            rng = random.Random(config.seed)
+            store = VersionStore()
+            date = datetime.date(2016, 1, 1)
+            store.commit_rules(date, added=[Rule.parse(n) for n in ("com", "uk", "co.uk")])
+            for index in range(1, 6):
+                name = f"s{rng.randrange(10**9)}.example.com"
+                store.commit_rules(date + datetime.timedelta(days=30 * index),
+                                   added=[Rule.parse(name)])
+            return store
+
+        # The world stage looks the synthesizer up in its own module;
+        # the defining module is patched too, so no code path in this
+        # test can fall back to synthesizing the full history.
+        monkeypatch.setattr(repro.analysis.context, "synthesize_history", seeded_history)
+        monkeypatch.setattr(repro.history.synthesis, "synthesize_history", seeded_history)
+
+        def fingerprints(seed: int, run_dir: str) -> list[str]:
+            stats = tmp_path / "stats.json"
+            status = run_cli(
+                "--seed", str(seed), "--run-dir", str(tmp_path / run_dir),
+                "--records", "512", "--versions", "4", "--json", str(stats), "--quiet",
+            )
+            assert status == 0
+            return [row["trie_fingerprint"] for row in json.loads(stats.read_text())["rows"]]
+
+        first = fingerprints(1, "shared")
+        reused = fingerprints(7, "shared")
+        assert reused == fingerprints(7, "fresh")
+        assert reused != first
 
     def test_degraded_exit_code_is_distinct(self):
         assert EXIT_DEGRADED == 3

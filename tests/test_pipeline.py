@@ -7,6 +7,7 @@ import datetime
 import enum
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -170,6 +171,20 @@ class TestRawArtifacts:
         assert ArtifactStore(str(tmp_path)).payload_path("packed", "e" * 64) is None
         assert ArtifactStore(str(tmp_path)).get("packed", "e" * 64) is None
 
+    def test_payload_path_streams_the_digest(self, tmp_path):
+        size = 32 << 20
+        ArtifactStore(str(tmp_path)).put("packed", "9" * 64, b"\x5a" * size, raw=True)
+        fresh = ArtifactStore(str(tmp_path))
+        tracemalloc.start()
+        try:
+            path = fresh.payload_path("packed", "9" * 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path is not None and os.path.getsize(path) == size
+        assert peak < size // 16
+        assert fresh.peek("packed", "9" * 64) is None
+
     def test_payload_path_absent_for_memory_only_store(self):
         store = ArtifactStore()
         store.put("packed", "f" * 64, b"z", raw=True)
@@ -187,7 +202,7 @@ class TestRawArtifacts:
         )
         pipeline = Pipeline([stage], store=ArtifactStore(str(tmp_path)))
         assert pipeline.build("blob") == b"\x00\x01payload"
-        path = pipeline.artifact("blob").path
+        path = pipeline.path("blob")
         assert path.endswith(".bin")
         # A fresh process loads the bytes verbatim off disk.
         fresh = Pipeline(
@@ -195,6 +210,35 @@ class TestRawArtifacts:
         )
         assert fresh.build("blob") == b"\x00\x01payload"
         assert fresh.report.count("disk") == 1
+
+    def test_path_builds_once_and_warm_runs_never_load_the_bytes(self, tmp_path):
+        calls = []
+
+        def build(inputs, ctx):
+            calls.append(ctx.fingerprint)
+            return b"PSLPAK1\0" + b"\x01" * 4096
+
+        stage = Stage(name="blob", build=build, raw=True)
+        cold = Pipeline([stage], store=ArtifactStore(str(tmp_path)))
+        path = cold.path("blob")
+        assert path is not None and path.endswith(".bin") and len(calls) == 1
+        warm = Pipeline([stage], store=ArtifactStore(str(tmp_path)))
+        assert warm.path("blob") == path and len(calls) == 1
+        assert warm.report.count("disk") == 1 and warm.report.executions[0].nbytes == 4104
+        assert warm.peek("blob") is None  # verified by streaming, never loaded
+        # A corrupt payload is rebuilt, never handed out.
+        with open(path, "r+b") as handle:
+            handle.seek(100)
+            handle.write(b"\xff")
+        again = Pipeline([stage], store=ArtifactStore(str(tmp_path)))
+        assert again.path("blob") == path and len(calls) == 2
+        assert again.report.computed_stages() == ("blob",)
+
+    def test_path_is_none_without_a_disk_layer(self):
+        stage = Stage(name="blob", build=lambda i, c: b"bytes", raw=True)
+        pipeline = Pipeline([stage], store=ArtifactStore())
+        assert pipeline.path("blob") is None
+        assert pipeline.build("blob") == b"bytes"
 
 
 def _diamond(counters, versions=None, params=None):
@@ -273,8 +317,8 @@ class TestPipeline:
         # Corrupt b's payload on disk; a fresh process must recompute
         # b (and only b — d's artifact is keyed by fingerprints, which
         # did not change).
-        artifact = pipeline.artifact("b")
-        with open(artifact.path, "wb") as handle:
+        path = pipeline.store.payload_path("b", pipeline.fingerprint_of("b"))
+        with open(path, "wb") as handle:
             handle.write(b"garbage")
         again: dict[str, int] = {}
         fresh = Pipeline(_diamond(again), store=ArtifactStore(str(tmp_path)))

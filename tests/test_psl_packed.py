@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import random
 import string
 import subprocess
@@ -317,12 +318,34 @@ class TestCorruptionSafety:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(PackedFormatError):
             PackedHistory.load(str(path))
+        # The last version's section ends the file: one flipped bit
+        # there must fail the streamed CRC before anything is mapped.
+        flipped = bytearray(blob)
+        flipped[len(blob) - PackedHistory.from_buffer(blob).version_bytes(-1) // 2] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(PackedFormatError, match="checksum"):
+            PackedHistory.load(str(path))
         path.write_bytes(b"")
         with pytest.raises(PackedFormatError, match="empty"):
             PackedHistory.load(str(path))
 
 
 # -- mmap lifecycle -----------------------------------------------------------
+
+
+def mapped_rss_bytes(path: str) -> int:
+    """Resident bytes of this process's mappings of ``path`` (Linux)."""
+    target = os.path.realpath(path)
+    rss = 0
+    inside = False
+    with open("/proc/self/smaps", encoding="utf-8") as handle:
+        for line in handle:
+            fields = line.split()
+            if fields and "-" in fields[0] and not fields[0].endswith(":"):
+                inside = fields[-1] == target
+            elif inside and fields[0] == "Rss:":
+                rss += int(fields[1]) * 1024
+    return rss
 
 
 class TestMmapLifecycle:
@@ -347,10 +370,29 @@ class TestMmapLifecycle:
             history.trie(0)
         del before
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+    def test_load_faults_in_only_what_a_reader_walks(self, tmp_path):
+        # ~16 MB over 110 versions; the CRC check must read the file,
+        # not fault the mapping in, so one lookup under version 0
+        # leaves most of the mapping non-resident.
+        store = VersionStore()
+        date = datetime.date(2016, 1, 1)
+        store.commit_rules(date, added=[Rule.parse(f"n{i}.zone{i % 97}") for i in range(4000)])
+        for index in range(1, 110):
+            date += datetime.timedelta(days=1)
+            store.commit_rules(date, added=[Rule.parse(f"v{index}.zone{index % 97}")])
+        path = tmp_path / "wide.bin"
+        path.write_bytes(pack_history(store))
+        size = path.stat().st_size
+        history = PackedHistory.load(str(path))
+        assert history.mmap_shared and len(history) == 110
+        assert history.trie(0).prevailing(("zone5", "n5", "www")).name == "n5.zone5"
+        assert 0 < mapped_rss_bytes(str(path)) < size // 4
+
     def test_context_manager(self, tmp_path):
         path = tmp_path / "history.bin"
         path.write_bytes(pack_rules(curated_rules()))
-        with PackedHistory.load(str(path), use_mmap=False) as history:
+        with PackedHistory.from_buffer(path.read_bytes()) as history:
             assert not history.mmap_shared
             assert history.trie(0).prevailing(("uk", "co")) is not None
 
