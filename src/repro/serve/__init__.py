@@ -16,9 +16,10 @@ Layering::
          |                            single/batch/compare APIs
     RequestCore       (core.py)       transport-agnostic routing,
          |                            admission, error mapping, metrics
-    PslServer         (http.py)       thin ThreadingHTTPServer adapter:
-         |                            socket timeouts, Connection: close,
-         |                            graceful drain on SIGTERM
+    PslServer         (http.py)       thread-per-connection HTTP/1.1
+         |                            keep-alive loop: bounded parse, one
+         |                            write per response, body framing,
+         |                            socket timeouts, graceful drain
     FleetSupervisor   (fleet.py)      pre-fork multi-worker front-end:
          |                            SO_REUSEPORT (or parent-fd) port
          |                            sharing, crash->respawn, epoch-bus

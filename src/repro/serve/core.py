@@ -84,7 +84,8 @@ class Request:
     ``read`` is the transport's body reader (``rfile.read``-shaped);
     the core only calls it after checking ``content_length`` against
     :data:`MAX_BODY_BYTES`, so a transport never buffers an oversized
-    body on the core's behalf.
+    body on the core's behalf.  The core may leave the body unread:
+    the transport frames it and discards what the core did not read.
     """
 
     method: str
@@ -420,8 +421,8 @@ class RequestCore:
         return value
 
     @staticmethod
-    def _read_raw_body(request: Request) -> bytes:
-        """The declared body, read in full so keep-alive stays in sync."""
+    def _read_body(request: Request) -> dict:
+        """The declared body, parsed as one JSON object."""
         length = request.content_length
         # A negative length must never reach request.read(): rfile.read(-1)
         # means read-until-EOF, which buffers whatever a keep-alive client
@@ -430,11 +431,7 @@ class RequestCore:
             raise Reject(400, "invalid_content_length", {"value": length})
         if length > MAX_BODY_BYTES:
             raise Reject(413, "body_too_large", {"limit_bytes": MAX_BODY_BYTES})
-        return request.read(length) if length else b""
-
-    @classmethod
-    def _read_body(cls, request: Request) -> dict:
-        raw = cls._read_raw_body(request)
+        raw = request.read(length) if length else b""
         if not raw:
             raise Reject(400, "empty_body")
         try:
@@ -529,10 +526,6 @@ class RequestCore:
         spec = query.get("version")
         if spec is None:
             spec = self._read_body(request).get("version")
-        else:
-            # The query wins, but a body sent alongside it must still be
-            # consumed or its bytes would be parsed as the next request.
-            self._read_raw_body(request)
         if spec is None:
             raise Reject(400, "missing_parameter", {"parameter": "version"})
         snapshot, epoch = self.epochs.swap(spec)

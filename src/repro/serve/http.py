@@ -1,11 +1,15 @@
-"""The HTTP transport: a stdlib threading server over the request core.
+"""The HTTP transport: a threaded HTTP/1.1 keep-alive loop over the request core.
 
-One :class:`PslServer` (a ``ThreadingHTTPServer``) is now a *thin
-adapter*: it parses HTTP into a :class:`~repro.serve.core.Request`,
+One :class:`PslServer` (a ``socketserver.ThreadingTCPServer``, one
+thread per connection) is a *thin adapter*: its handler reads the
+request line and headers with bounded ``readline`` calls, keeping only
+``Content-Length``, ``Connection``, ``Expect`` and
+``Transfer-Encoding``; builds a :class:`~repro.serve.core.Request`;
 hands it to a :class:`~repro.serve.core.RequestCore` (which owns
 routing, admission, error mapping, and metrics — see
-:mod:`repro.serve.core`), and writes the returned
-:class:`~repro.serve.core.Response` to the socket.  The endpoints:
+:mod:`repro.serve.core`); and writes the returned
+:class:`~repro.serve.core.Response` to the socket as one buffer.  The
+endpoints:
 
 =================  ======  ===================================================
 ``/site``          GET     ``?host=H[&version=V]`` — one lookup
@@ -24,9 +28,14 @@ What stays transport-level here:
   timeout (``request_timeout``), so a slowloris-style peer that stalls
   mid-request is disconnected instead of pinning a handler thread
   forever.
-* **connection hygiene on errors** — any errored request may have an
-  unread body, so every ``>= 400`` response carries
-  ``Connection: close`` (one place, :meth:`_Handler._send`).
+* **framing** — the loop counts the body bytes the core reads and,
+  after a keep-alive response, discards the declared rest (up to
+  ``MAX_BODY_BYTES``, in bounded chunks), so an unread body never
+  becomes the next request.  A request it cannot frame (any
+  ``Transfer-Encoding``, a bad or conflicting ``Content-Length``, an
+  over-long line, a malformed request line, a method other than
+  GET/POST) is answered and the connection closed; so is every
+  ``>= 400`` response, since an errored request may leave bytes unread.
 * **shutdown** — :meth:`PslServer.drain` is the graceful path: flip
   ``/healthz`` to ``draining`` (503), stop the update watcher, stop
   accepting connections, let in-flight requests finish under a bounded
@@ -41,11 +50,15 @@ What stays transport-level here:
 
 from __future__ import annotations
 
+import contextlib
 import signal
 import socket
+import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (update -> serve)
@@ -57,6 +70,8 @@ from repro.serve.core import (
     MAX_BODY_BYTES,
     Request,
     RequestCore,
+    Response,
+    error_body,
 )
 from repro.serve.engine import QueryEngine
 from repro.serve.metrics import MetricsRegistry
@@ -77,11 +92,25 @@ __all__ = [
 DEFAULT_REQUEST_TIMEOUT = 30.0
 #: How long :meth:`PslServer.drain` waits for in-flight requests.
 DEFAULT_DRAIN_DEADLINE = 10.0
+#: Longest request line or header line (bytes), as ``http.server``'s.
+MAX_LINE = 65536
+#: Most header lines one request may carry, as ``http.client``'s.
+MAX_HEADERS = 100
+
+_FRAMING = frozenset({b"content-length", b"connection", b"expect", b"transfer-encoding"})
+_STATUS_LINES = {
+    status.value: b"HTTP/1.1 %d %s\r\n" % (status.value, status.phrase.encode("ascii"))
+    for status in HTTPStatus
+}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+#: Largest read when discarding a body the core left unread.
+_DISCARD_CHUNK = 65536
 
 
-class PslServer(ThreadingHTTPServer):
-    """A threading HTTP adapter bound to one :class:`RequestCore`."""
+class PslServer(socketserver.ThreadingTCPServer):
+    """A thread-per-connection HTTP adapter bound to one :class:`RequestCore`."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(
@@ -129,13 +158,22 @@ class PslServer(ThreadingHTTPServer):
         self.quiet = quiet
         self._drained = False
         self._drain_ok = True
+        self._date = (0, b"")  # (second, its Date header line), swapped whole
 
     def server_bind(self) -> None:
+        # Set by hand: ``allow_reuse_port`` needs Python 3.11.
         if self._reuse_port:
             if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover - platform
                 raise OSError("SO_REUSEPORT is not available on this platform")
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
+
+    def _date_line(self) -> bytes:
+        """The ``Date`` header line, formatted once per second."""
+        now, date = int(time.time()), self._date
+        if date[0] != now:
+            date = self._date = (now, b"Date: %s\r\n" % formatdate(now, usegmt=True).encode())
+        return date[1]
 
     # -- the core's surface, re-exposed for callers and tests ----------------
 
@@ -144,20 +182,8 @@ class PslServer(ThreadingHTTPServer):
         return self.core.engine
 
     @property
-    def metrics(self) -> MetricsRegistry:
-        return self.core.metrics
-
-    @property
     def gate(self) -> threading.Semaphore:
         return self.core.gate
-
-    @property
-    def max_inflight(self) -> int:
-        return self.core.max_inflight
-
-    @property
-    def started_at(self) -> float:
-        return self.core.started_at
 
     @property
     def watcher(self) -> "Watcher | None":
@@ -219,70 +245,125 @@ class PslServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Parses HTTP, delegates to the core, writes the response."""
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: bounded parse, ``core.handle``, one write, repeat."""
 
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: the handler emits the status line and each header as
-    # its own small write; with Nagle on, those segments wait for the
-    # peer's delayed ACK (~40ms) before the body flushes — a keep-alive
-    # client then sees every response cost ~44ms regardless of the
-    # lookup's actual microseconds.  An answer-sized service disables
-    # Nagle and pays a few extra small packets instead.
+    # One write per response leaves Nagle nothing to coalesce; TCP_NODELAY
+    # stays for the ``100 Continue`` interim, which would otherwise wait
+    # out the peer's delayed ACK (~40 ms) before the body arrives.
     disable_nagle_algorithm = True
     server: PslServer  # narrowed for the attribute accesses below
 
     def setup(self) -> None:
         # Per-connection socket timeout: StreamRequestHandler applies
-        # ``self.timeout`` to the connection, and stdlib
-        # ``handle_one_request`` treats a timeout as a fatal connection
-        # error — so a stalled (slowloris-style) client is disconnected
-        # instead of holding its handler thread forever.
+        # ``self.timeout`` to the connection, and ``handle`` treats a
+        # timeout as a fatal connection error — so a stalled
+        # (slowloris-style) client is disconnected instead of holding
+        # its handler thread forever.
         if self.server.request_timeout is not None:
             self.timeout = self.server.request_timeout
         super().setup()
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.server.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        with contextlib.suppress(OSError):  # a timeout, reset or broken pipe ends it
+            while self._exchange():
+                pass
 
-    def _send(self, status: int, payload: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if status >= 400:
-            # An errored request may have an unread body (e.g. a shed
-            # POST); keeping the connection would desync the framing.
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        try:
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-reply; nothing to salvage
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            # Clamp negatives: self.rfile.read(-1) would read until EOF,
-            # defeating the core's body-size ceiling.
-            length = max(0, int(self.headers.get("Content-Length") or 0))
-        except ValueError:
-            length = 0
-        response = self.server.core.handle(
-            Request(
-                method=method,
-                target=self.path,
-                content_length=length,
-                read=self.rfile.read,
-            )
+    def _exchange(self) -> bool:
+        """Serve one request; True while the connection stays open."""
+        rfile = self.rfile
+        line = rfile.readline(MAX_LINE + 1)
+        while line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: skip blank lines first
+            line = rfile.readline(MAX_LINE + 1)
+        if not line:
+            return False  # the peer closed between requests
+        if len(line) > MAX_LINE:
+            return self._refuse(414, "request_line_too_long", limit_bytes=MAX_LINE)
+        parts = line.split()
+        if len(parts) != 3 or not parts[2].startswith(b"HTTP/1."):
+            return self._refuse(400, "malformed_request_line")
+        method, target, version = parts
+        fields: dict[bytes, list[bytes]] = {}
+        for count in range(MAX_HEADERS + 1):
+            line = rfile.readline(MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                return False  # the peer closed mid-request
+            if len(line) > MAX_LINE or count == MAX_HEADERS:
+                return self._refuse(431, "headers_too_large", limit_lines=MAX_HEADERS)
+            name, colon, value = line.partition(b":")
+            if not colon:
+                return self._refuse(400, "malformed_header")
+            name = name.strip().lower()
+            if name in _FRAMING:
+                fields.setdefault(name, []).append(value.strip())
+        if method not in (b"GET", b"POST"):
+            return self._refuse(501, "method_not_implemented", method=method.decode("latin-1"))
+        if b"transfer-encoding" in fields:
+            return self._refuse(501, "unsupported_transfer_encoding")
+        lengths = set(fields.get(b"content-length", (b"0",)))
+        declared = lengths.pop()
+        if lengths:
+            return self._refuse(400, "invalid_content_length", detail="conflicting values")
+        tokens = {t.strip() for t in b",".join(fields.get(b"connection", ())).lower().split(b",")}
+        http10 = version == b"HTTP/1.0"
+        keep = b"keep-alive" in tokens if http10 else b"close" not in tokens
+        if declared.isdigit():
+            length = int(declared)
+        elif declared[:1] == b"-" and declared[1:].isdigit():
+            # Negative: the core sees no body, as it always has; where
+            # the peer's body ends is unknown, so the connection closes.
+            length, keep = 0, False
+        else:
+            return self._refuse(400, "invalid_content_length", value=declared.decode("latin-1"))
+        interim = length > 0 and not http10 and any(
+            value.lower() == b"100-continue" for value in fields.get(b"expect", ())
         )
-        self._send(response.status, response.encoded(), response.content_type)
+        remaining = length
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib handler contract
-        self._dispatch("GET")
+        def read(size: int) -> bytes:
+            nonlocal interim, remaining
+            if interim:
+                self.connection.sendall(_CONTINUE)
+                interim = False
+            data = rfile.read(min(size, remaining))
+            remaining -= len(data)
+            return data
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib handler contract
-        self._dispatch("POST")
+        response = self.server.core.handle(
+            Request(method.decode("ascii"), target.decode("latin-1"), length, read)
+        )
+        if not self.server.quiet:  # pragma: no cover - debug aid
+            request_line = b" ".join(parts).decode("latin-1")
+            print(f'{self.client_address[0]} "{request_line}" {response.status}', file=sys.stderr)
+        # A body the core left unread is discarded after the reply — unless
+        # the peer still awaits ``100 Continue`` (it may never send it) or
+        # it is past the body ceiling; then the connection closes instead.
+        keep = keep and not (remaining and (interim or remaining > MAX_BODY_BYTES))
+        if not self._reply(response, keep, http10):
+            return False
+        while remaining:  # in bounded chunks: a connection holds at most one
+            if not read(_DISCARD_CHUNK):
+                return False  # the peer closed mid-body
+        return True
+
+    def _reply(self, response: Response, keep: bool, http10: bool = False) -> bool:
+        """Write ``response`` as one buffer; True if the connection stays open."""
+        payload = response.encoded()
+        keep = keep and response.status < 400  # an errored request may leave bytes unread
+        connection = b"" if keep and not http10 else (
+            b"Connection: keep-alive\r\n" if keep else b"Connection: close\r\n"
+        )
+        self.connection.sendall(b"%s%sContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s" % (
+            _STATUS_LINES[response.status], self.server._date_line(),
+            response.content_type.encode(), len(payload), connection, payload,
+        ))
+        return keep
+
+    def _refuse(self, status: int, kind: str, **detail: Any) -> bool:
+        """Answer a request the loop cannot frame, and close."""
+        return self._reply(Response(status, error_body(kind, **detail)), keep=False)
 
 
 def serve_forever(

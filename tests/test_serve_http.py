@@ -13,11 +13,13 @@ import http.client
 import json
 import socket
 import threading
+import tracemalloc
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.serve.core import MAX_BODY_BYTES
 from repro.serve.http import PslServer
 from repro.serve.snapshots import SnapshotRegistry
 
@@ -361,3 +363,279 @@ class TestPrefixStore:
         for count in (0, len(full) + 1):
             with pytest.raises(ValueError, match="out of range"):
                 prefix_store(full, count)
+
+
+class Wire:
+    """One raw keep-alive connection whose answers ``http.client`` parses.
+
+    Requests go out as exact bytes (pipelined, split, malformed — what
+    a real client library would never send); each answer is read with
+    ``http.client.HTTPResponse`` off one shared buffered reader, so
+    pipelined answers stay in order, and every one must carry ``Date``
+    and ``Content-Length``.
+    """
+
+    def __init__(self, server: PslServer) -> None:
+        self.sock = socket.create_connection(server.server_address[:2], timeout=10)
+        self.file = self.sock.makefile("rb")
+
+    # the socket-and-file surface HTTPResponse reads through
+    def makefile(self, *args: object) -> "Wire":
+        return self
+
+    def readline(self, limit: int = -1) -> bytes:
+        return self.file.readline(limit)
+
+    def read(self, size: int = -1) -> bytes:
+        return self.file.read(size)
+
+    def close(self) -> None:  # HTTPResponse closes its fp once the body is read
+        pass
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def answer(self) -> tuple[http.client.HTTPResponse, dict]:
+        response = http.client.HTTPResponse(self)
+        response.begin()
+        body = response.read()
+        assert response.getheader("Date")
+        assert response.getheader("Content-Length") == str(len(body))
+        return response, json.loads(body)
+
+    def closed_by_server(self) -> bool:
+        return self.file.read(1) == b""
+
+    def __enter__(self) -> "Wire":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.file.close()
+        self.sock.close()
+
+
+SITE = b"GET /site?host=www.example.co.uk HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestKeepAliveLoop:
+    def test_pipelined_requests_in_one_send(self, server):
+        with Wire(server) as wire:
+            wire.send(SITE + b"GET /site?host=a.github.io HTTP/1.1\r\nHost: t\r\n\r\n")
+            first, body = wire.answer()
+            assert first.status == 200 and body["site"] == "example.co.uk"
+            second, body = wire.answer()
+            assert second.status == 200 and body["site"] == "a.github.io"
+
+    def test_request_delivered_one_byte_per_send(self, server):
+        with Wire(server) as wire:
+            for byte in SITE:
+                wire.send(bytes([byte]))
+            response, body = wire.answer()
+            assert response.status == 200 and body["site"] == "example.co.uk"
+
+    def test_http10_closes_by_default(self, server):
+        with Wire(server) as wire:
+            wire.send(b"GET /healthz HTTP/1.0\r\n\r\n")
+            response, _ = wire.answer()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert wire.closed_by_server()
+
+    def test_http10_honours_keep_alive(self, server):
+        with Wire(server) as wire:
+            for _ in range(2):
+                wire.send(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+                response, _ = wire.answer()
+                assert response.status == 200
+                assert response.getheader("Connection") == "keep-alive"
+
+    def test_connection_close_is_honoured(self, server):
+        with Wire(server) as wire:
+            wire.send(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            response, _ = wire.answer()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert wire.closed_by_server()
+
+    def test_expect_100_continue_on_a_large_batch(self, server):
+        hosts = [f"h{i}.example.co.uk" for i in range(100)]
+        payload = json.dumps({"hostnames": hosts}).encode()
+        assert len(payload) > 1024  # the size at which curl sends Expect
+        with Wire(server) as wire:
+            wire.send(
+                b"POST /batch HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+                b"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n" % len(payload)
+            )
+            assert wire.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert wire.readline() == b"\r\n"
+            wire.send(payload)
+            response, body = wire.answer()
+            assert response.status == 200 and body["count"] == len(hosts)
+            wire.send(SITE)  # still in sync
+            assert wire.answer()[0].status == 200
+
+    def test_every_response_carries_date_and_content_length(self, server):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        batch = json.dumps({"hostnames": ["a.example.com"]}).encode()
+        try:
+            for method, path, body in [
+                ("GET", "/site?host=www.example.co.uk", None),
+                ("POST", "/batch", batch),
+                ("GET", "/metrics", None),
+                ("GET", "/nowhere", None),
+                ("GET", "/batch", None),
+                ("GET", "/site?host=bad..name", None),
+            ]:
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                payload = response.read()
+                assert response.getheader("Date"), path
+                assert response.getheader("Content-Length") == str(len(payload)), path
+                assert response.getheader("Content-Type"), path
+        finally:
+            conn.close()
+
+
+class TestBodyAccounting:
+    def test_get_with_an_unread_body_keeps_keep_alive_in_sync(self, server):
+        """Regression: a body the core never read stayed on the socket,
+        and the next request was answered ``501 ('helloGET')``."""
+        with Wire(server) as wire:
+            wire.send(
+                b"GET /site?host=www.example.co.uk HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 5\r\n\r\nhello" + SITE
+            )
+            for _ in range(2):
+                response, body = wire.answer()
+                assert response.status == 200 and body["site"] == "example.co.uk"
+                assert response.getheader("Connection") is None
+
+    def test_unread_body_is_discarded_in_bounded_reads(self, server):
+        body = b"x" * (2 << 20)
+        head = b"GET /site?host=www.example.co.uk HTTP/1.1\r\nHost: t\r\n"
+        head += b"Content-Length: %d\r\n\r\n" % len(body)
+        with Wire(server) as wire:
+            tracemalloc.start()
+            try:
+                wire.send(head)
+                wire.send(body)
+                wire.send(SITE)
+                for _ in range(2):
+                    response, answer = wire.answer()
+                    assert response.status == 200 and answer["site"] == "example.co.uk"
+                    assert response.getheader("Connection") is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < len(body) // 4  # never the whole body in one buffer
+
+    def test_unread_body_past_the_ceiling_closes(self, server):
+        with Wire(server) as wire:
+            wire.send(
+                b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+            )
+            response, _ = wire.answer()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert wire.closed_by_server()
+
+    def test_unsolicited_continue_body_closes_instead_of_waiting(self, server):
+        # The peer waits for 100 Continue before sending; the core never
+        # read, so discarding would block — the connection closes.
+        with Wire(server) as wire:
+            wire.send(
+                b"GET /healthz HTTP/1.1\r\nContent-Length: 5\r\nExpect: 100-continue\r\n\r\n"
+            )
+            response, _ = wire.answer()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert wire.closed_by_server()
+
+
+class TestFramingRefusals:
+    """Requests the loop cannot frame are answered, then the connection closes."""
+
+    def refused(self, server, raw: bytes, status: int, kind: str | None) -> dict:
+        with Wire(server) as wire:
+            wire.send(raw)
+            response, body = wire.answer()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            if kind is not None:
+                assert body["error"]["kind"] == kind
+            assert wire.closed_by_server()
+        return body
+
+    def test_transfer_encoding_is_501(self, server):
+        """Regression: chunk bytes after a 200 were parsed as the next request."""
+        self.refused(
+            server,
+            b"GET /site?host=a.com HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+            501, "unsupported_transfer_encoding",
+        )
+
+    def test_conflicting_content_lengths_are_400(self, server):
+        self.refused(
+            server,
+            b"POST /batch HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+            400, "invalid_content_length",
+        )
+
+    @pytest.mark.parametrize("value", [b"abc", b"0x10", b"1.5", b"+5", b""])
+    def test_non_decimal_content_length_is_400(self, server, value):
+        self.refused(
+            server,
+            b"POST /batch HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n",
+            400, "invalid_content_length",
+        )
+
+    def test_request_line_past_64_kib_is_414(self, server):
+        self.refused(
+            server, b"GET /site?host=" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
+            414, "request_line_too_long",
+        )
+
+    def test_more_than_100_header_lines_is_431(self, server):
+        headers = b"".join(b"X-Pad-%d: 1\r\n" % i for i in range(101))
+        self.refused(server, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n", 431,
+                     "headers_too_large")
+
+    def test_100_header_lines_are_accepted(self, server):
+        headers = b"".join(b"X-Pad-%d: 1\r\n" % i for i in range(100))
+        with Wire(server) as wire:
+            wire.send(b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+            assert wire.answer()[0].status == 200
+
+    @pytest.mark.parametrize(
+        "line", [b"GARBAGE\r\n", b"GET /healthz\r\n", b"GET /healthz HTTP/2.0\r\n",
+                 b"GET / HTTP/1.1 extra\r\n"]
+    )
+    def test_malformed_request_line_is_400(self, server, line):
+        self.refused(server, line + b"\r\n", 400, "malformed_request_line")
+
+    @pytest.mark.parametrize("method", [b"HEAD", b"PUT", b"DELETE"])
+    def test_other_methods_are_501(self, server, method):
+        body = self.refused(server, method + b" /site?host=a.com HTTP/1.1\r\n\r\n", 501,
+                            "method_not_implemented")
+        assert body["error"]["method"] == method.decode()
+
+
+@pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"), reason="no SO_REUSEPORT")
+class TestReusePort:
+    def test_two_servers_share_one_port(self):
+        """The fleet's bind strategy: set by hand, since ``allow_reuse_port``
+        only exists on Python 3.11+ and the package supports 3.10."""
+        registry = SnapshotRegistry(make_store())
+        first = PslServer(("127.0.0.1", 0), registry, reuse_port=True)
+        try:
+            second = PslServer(first.server_address[:2], registry, reuse_port=True)
+            try:
+                for instance in (first, second):
+                    option = instance.socket.getsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT)
+                    assert option != 0
+            finally:
+                second.server_close()
+        finally:
+            first.server_close()
