@@ -15,6 +15,7 @@ layer; conversion to ASCII-compatible (punycode) form is the job of
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,8 +27,17 @@ MAX_LABEL_LENGTH = 63
 # LDH rule ("letter-digit-hyphen") for ASCII labels; underscore is
 # additionally tolerated because it is common in real crawl data
 # (e.g. service records and sloppy CDN hostnames), matching how the
-# HTTP Archive records names as observed on the wire.
-_ASCII_LABEL_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]*[a-z0-9_])?$")
+# HTTP Archive records names as observed on the wire.  Matched with
+# ``fullmatch``: a ``$`` anchor also matches before a trailing newline
+# and would admit ``"abc\n"`` as a label.
+_ASCII_LABEL = r"[a-z0-9_](?:[a-z0-9_-]{0,61}[a-z0-9_])?"
+_ASCII_LABEL_RE = re.compile(_ASCII_LABEL)
+#: A whole valid ASCII name in one match, the common case's fast path.
+_ASCII_NAME_RE = re.compile(rf"{_ASCII_LABEL}(?:\.{_ASCII_LABEL})*")
+
+#: The characters an ASCII label may hold, for checking U-labels.
+_LDH_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 _IPV4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
@@ -51,19 +61,27 @@ def validate_label(label: str) -> None:
     """Validate a single hostname label, raising :class:`HostnameError`.
 
     Non-ASCII labels (U-labels) are accepted as long as they are
-    non-empty, within the length limit, and free of whitespace or dots;
-    full IDNA validation happens at punycode-conversion time.
+    non-empty, within the length limit, free of whitespace, dots and
+    surrogate code points, and — as under STD3 rules — every ASCII
+    character of their IDNA-mapped form (lowercase, NFC) is LDH or
+    ``_``; punycode encoding happens at conversion time.  So the A-label
+    form of every accepted name is ``[a-z0-9_.-]``.
     """
     if not label:
         raise HostnameError(label, "empty label")
     if len(label) > MAX_LABEL_LENGTH:
         raise HostnameError(label, f"label longer than {MAX_LABEL_LENGTH} characters")
     if label.isascii():
-        if not _ASCII_LABEL_RE.match(label):
+        if not _ASCII_LABEL_RE.fullmatch(label):
             raise HostnameError(label, "label violates LDH rule")
     else:
         if any(ch.isspace() or ch == "." for ch in label):
             raise HostnameError(label, "whitespace or dot inside label")
+        if _SURROGATE_RE.search(label):
+            raise HostnameError(label, "surrogate code point inside label")
+        mapped = unicodedata.normalize("NFC", label.lower())
+        if any(ch.isascii() and ch not in _LDH_CHARS for ch in mapped):
+            raise HostnameError(label, "label violates LDH rule")
 
 
 def split_labels(hostname: str) -> tuple[str, ...]:
@@ -93,6 +111,8 @@ def normalize_hostname(value: str) -> str:
         raise HostnameError(value, f"hostname longer than {MAX_HOSTNAME_LENGTH} characters")
     if is_ip_literal(candidate):
         raise HostnameError(value, "IP literal is not a hostname")
+    if candidate.isascii() and _ASCII_NAME_RE.fullmatch(candidate):
+        return candidate
     for label in split_labels(candidate):
         try:
             validate_label(label)

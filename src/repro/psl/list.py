@@ -204,29 +204,41 @@ class PublicSuffixList:
 
     # -- the algorithm ------------------------------------------------------
 
-    def match(self, hostname: str) -> SuffixMatch:
-        """Run the full lookup for one hostname.
+    def lookup(self, name: str) -> tuple[str, str, str | None, Rule | None]:
+        """The one lookup walk, over an already-normalized name.
 
-        The hostname is IDNA-normalized first; the returned
-        ``public_suffix`` and ``registrable_domain`` are in A-label form.
+        ``name`` must already be stripped, lowercased and free of a
+        trailing root dot (what :func:`repro.net.hostname.normalize_or_reject`
+        returns); this does one IDNA conversion and one trie walk, for
+        dict and packed tries alike.  Returns ``(ascii name, public
+        suffix, registrable domain, prevailing rule)`` — the registrable
+        domain is None when the name is itself a public suffix, the rule
+        None when only the implicit default rule ``*`` applied.
+
+        >>> PublicSuffixList([Rule.parse('co.uk')]).lookup('www.bbc.co.uk')[:3]
+        ('www.bbc.co.uk', 'co.uk', 'bbc.co.uk')
         """
-        name = to_ascii(hostname.strip().rstrip(".").lower())
+        name = to_ascii(name)
         labels = name.split(".")
-        reversed_labels = tuple(reversed(labels))
-        rule = self._trie.prevailing(reversed_labels)
-
+        rule = self._trie.prevailing(labels[::-1])
         if rule is None:
             suffix_length = 1  # implicit default rule '*'
         elif rule.kind is RuleKind.EXCEPTION:
             suffix_length = rule.component_count - 1
         else:
             suffix_length = rule.component_count
+        cut = len(labels) - suffix_length
+        suffix = ".".join(labels[cut:])
+        registrable = ".".join(labels[cut - 1 :]) if cut > 0 else None
+        return name, suffix, registrable, rule
 
-        suffix = ".".join(labels[len(labels) - suffix_length :])
-        if len(labels) > suffix_length:
-            registrable = ".".join(labels[len(labels) - suffix_length - 1 :])
-        else:
-            registrable = None
+    def match(self, hostname: str) -> SuffixMatch:
+        """Run the full lookup for one hostname.
+
+        The hostname is IDNA-normalized first; the returned
+        ``public_suffix`` and ``registrable_domain`` are in A-label form.
+        """
+        name, suffix, registrable, rule = self.lookup(hostname.strip().rstrip(".").lower())
         return SuffixMatch(
             hostname=name,
             public_suffix=suffix,

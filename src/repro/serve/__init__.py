@@ -12,7 +12,7 @@ Layering::
 
     SnapshotRegistry  (snapshots.py)  versioned immutable snapshots,
          |                            atomic copy-on-write hot-swap
-    QueryEngine       (engine.py)     uncached hostname -> snapshot.match,
+    QueryEngine       (engine.py)     uncached hostname -> psl.lookup,
          |                            single/batch/compare APIs
     RequestCore       (core.py)       transport-agnostic routing,
          |                            admission, error mapping, metrics

@@ -104,7 +104,11 @@ class Request:
 
 @dataclass(slots=True)
 class Response:
-    """What the core answers; the transport serializes it."""
+    """What the core answers; the transport serializes it.
+
+    A dict payload is JSON-encoded on the way out; a bytes payload is
+    already the body, sent as whatever ``content_type`` states.
+    """
 
     status: int
     payload: dict | bytes
@@ -387,29 +391,25 @@ class RequestCore:
         started = time.perf_counter()
         try:
             try:
-                status, payload = getattr(self, method_name)(request)
+                response = getattr(self, method_name)(request)
             except Reject as rejection:
-                status, payload = rejection.status, rejection.body
+                response = Response(rejection.status, rejection.body)
             except HostnameError as exc:
-                status = 400
-                payload = error_body(
-                    "invalid_hostname", value=exc.value, reason=exc.reason
+                response = Response(
+                    400, error_body("invalid_hostname", value=exc.value, reason=exc.reason)
                 )
             except UnknownVersionError as exc:
-                status = 404
-                payload = error_body(
-                    "unknown_version", value=str(exc.spec), reason=exc.reason
+                response = Response(
+                    404, error_body("unknown_version", value=str(exc.spec), reason=exc.reason)
                 )
             except Exception:  # the never-crash contract
-                status, payload = 500, error_body("internal")
+                response = Response(500, error_body("internal"))
         finally:
             if gated:
                 self._leave()
-        self.requests_total.inc(endpoint=endpoint, status=str(status))
+        self.requests_total.inc(endpoint=endpoint, status=str(response.status))
         self.latency.observe(time.perf_counter() - started, endpoint=endpoint)
-        if isinstance(payload, bytes):
-            return Response(status, payload, METRICS_TYPE)
-        return Response(status, payload)
+        return response
 
     # -- shared request plumbing ---------------------------------------------
 
@@ -442,42 +442,44 @@ class RequestCore:
             raise Reject(400, "malformed_json", {"detail": "body must be an object"})
         return body
 
-    # -- endpoints (each returns (status, payload); bytes = plain text) ------
+    # -- endpoints (each returns its Response, content type stated) ----------
 
-    def _get_site(self, request: Request) -> tuple[int, dict]:
+    def _get_site(self, request: Request) -> Response:
         query = request.query()
         host = self._required(query, "host")
         answer = self.engine.site(host, version=query.get("version"))
         self.lookups_total.inc()
-        return 200, answer.to_json()
+        return Response(200, answer.to_json())
 
-    def _get_classify(self, request: Request) -> tuple[int, dict]:
+    def _get_classify(self, request: Request) -> Response:
         query = request.query()
         page = self._required(query, "page")
         req = self._required(query, "request")
         answer = self.engine.classify(page, req, version=query.get("version"))
         self.lookups_total.inc(2)
-        return 200, answer.to_json()
+        return Response(200, answer.to_json())
 
-    def _get_compare(self, request: Request) -> tuple[int, dict]:
+    def _get_compare(self, request: Request) -> Response:
         query = request.query()
         host = self._required(query, "host")
         old = self._required(query, "old")
         answer = self.engine.compare(host, old, query.get("new"))
         self.lookups_total.inc(2)
-        return 200, answer.to_json()
+        return Response(200, answer.to_json())
 
-    def _get_versions(self, request: Request) -> tuple[int, dict]:
-        query = request.query()
+    def _get_versions(self, request: Request) -> Response:
+        raw = request.query().get("limit")
         limit: int | None = None
-        if "limit" in query:
+        if raw is not None:
             try:
-                limit = int(query["limit"])
+                limit = int(raw)
             except ValueError:
-                raise Reject(400, "malformed_parameter", {"parameter": "limit"}) from None
-        return 200, self.registry.describe(limit=limit)
+                pass
+            if limit is None or limit < 0:
+                raise Reject(400, "malformed_parameter", {"parameter": "limit"})
+        return Response(200, self.registry.describe(limit=limit))
 
-    def _get_healthz(self, request: Request) -> tuple[int, dict]:
+    def _get_healthz(self, request: Request) -> Response:
         registry = self.registry
         draining = self.draining
         body: dict[str, Any] = {
@@ -501,12 +503,12 @@ class RequestCore:
             body["update"] = self.watcher.status().to_json()
         # 503 while draining so load balancers eject the instance; the
         # body still carries full state for operators mid-drain.
-        return (503 if draining else 200), body
+        return Response(503 if draining else 200, body)
 
-    def _get_metrics(self, request: Request) -> tuple[int, bytes]:
-        return 200, self.metrics.render().encode("utf-8")
+    def _get_metrics(self, request: Request) -> Response:
+        return Response(200, self.metrics.render().encode("utf-8"), METRICS_TYPE)
 
-    def _post_batch(self, request: Request) -> tuple[int, dict]:
+    def _post_batch(self, request: Request) -> Response:
         body = self._read_body(request)
         hostnames = body.get("hostnames")
         if not isinstance(hostnames, list) or not all(
@@ -519,9 +521,9 @@ class RequestCore:
             raise Reject(413, "batch_too_large", {"limit": MAX_BATCH_HOSTNAMES})
         answer = self.engine.batch(hostnames, version=body.get("version"))
         self.lookups_total.inc(len(hostnames))
-        return 200, answer.to_json()
+        return Response(200, answer.encoded())
 
-    def _post_swap(self, request: Request) -> tuple[int, dict]:
+    def _post_swap(self, request: Request) -> Response:
         query = request.query()
         spec = query.get("version")
         if spec is None:
@@ -529,8 +531,8 @@ class RequestCore:
         if spec is None:
             raise Reject(400, "missing_parameter", {"parameter": "version"})
         snapshot, epoch = self.epochs.swap(spec)
-        return 200, {
+        return Response(200, {
             "active": snapshot.describe(),
             "generation": self.registry.generation,
             "epoch": epoch,
-        }
+        })

@@ -109,6 +109,42 @@ class TestNormalize:
             normalize_hostname("exam ple.com")
 
 
+class TestULabelGate:
+    """ASCII characters inside a U-label obey the same LDH rule as ASCII labels."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "ü<script>.com",
+            'a"ü.com',
+            "a\x00ü.com",
+            "a\\ü.com",
+            "a\u037eü.com",  # NFC maps the Greek question mark to ';'
+        ],
+    )
+    def test_non_ldh_ascii_inside_ulabel_rejected(self, value):
+        assert normalize_or_none(value) is None
+        with pytest.raises(HostnameError) as excinfo:
+            normalize_or_reject(value)
+        assert excinfo.value.reason == "label violates LDH rule"
+
+    def test_surrogate_rejected_with_reason(self):
+        with pytest.raises(HostnameError) as excinfo:
+            normalize_or_reject("\ud800.com")
+        assert excinfo.value.reason == "surrogate code point inside label"
+        assert normalize_or_none("a\udfffb.com") is None
+
+    def test_newline_before_a_dot_rejected(self):
+        # ``$`` matches before a trailing newline; the label check must not.
+        assert normalize_or_none("abc\n.com") is None
+        with pytest.raises(HostnameError):
+            validate_label("abc\n")
+
+    @pytest.mark.parametrize("value", ["bücher.de", "a_ü.com", "x-ü.com", "ÄÖ.de"])
+    def test_ldh_ulabels_still_pass(self, value):
+        assert normalize_or_reject(value) == value.lower()
+
+
 class TestValidateLabel:
     def test_simple_ok(self):
         validate_label("example")

@@ -9,6 +9,7 @@ shape, admission, and epoch contracts are pinned here once.
 from __future__ import annotations
 
 import json
+from urllib.parse import urlencode
 
 import pytest
 
@@ -193,6 +194,19 @@ class TestResponses:
         assert response.content_type.startswith("text/plain")
         assert b"psl_serve_requests_total" in response.encoded()
 
+    def test_batch_is_json_bytes(self):
+        core = make_core()
+        response = post(core, "/batch", b'{"hostnames": ["www.example.co.uk"]}')
+        assert response.status == 200
+        assert isinstance(response.payload, bytes)
+        assert response.content_type == "application/json"
+        assert json.loads(response.encoded())["answers"][0]["site"] == "example.co.uk"
+
+    def test_json_endpoints_state_json(self):
+        core = make_core()
+        for target in ("/site?host=a.com", "/versions", "/healthz", "/nope"):
+            assert get(core, target).content_type == "application/json"
+
     def test_json_payload_encodes(self):
         response = Response(200, {"a": 1})
         assert json.loads(response.encoded()) == {"a": 1}
@@ -216,6 +230,33 @@ class TestValidation:
         response = get(core, "/versions?limit=many")
         assert response.status == 400
         assert response.payload["error"]["kind"] == "malformed_parameter"
+
+    def test_negative_limit(self):
+        core = make_core()
+        response = get(core, "/versions?limit=-1")
+        assert response.status == 400
+        assert response.payload == error_body("malformed_parameter", parameter="limit")
+        assert get(core, "/versions?limit=0").status == 200
+
+    @pytest.mark.parametrize("host", ["ü<script>.com", 'a"ü.com', "a\x00ü.com"])
+    def test_non_ldh_ulabel_is_400_on_site(self, host):
+        core = make_core()
+        response = get(core, "/site?" + urlencode({"host": host}))
+        assert response.status == 400
+        assert response.payload["error"]["kind"] == "invalid_hostname"
+        assert response.payload["error"]["value"] == host
+
+    def test_non_ldh_ulabel_is_an_error_row_in_batch(self):
+        core = make_core()
+        hosts = ["ü<script>.com", 'a"ü.com', "a\x00ü.com", "\ud800.com", "bücher.co.uk"]
+        response = post(core, "/batch", json.dumps({"hostnames": hosts}).encode())
+        assert response.status == 200
+        body = json.loads(response.encoded())
+        assert body["errors"] == 4
+        assert [row["hostname"] for row in body["answers"]] == [
+            *hosts[:4], "xn--bcher-kva.co.uk"
+        ]
+        assert [row["error"]["kind"] for row in body["answers"][:4]] == ["invalid_hostname"] * 4
 
     def test_empty_post_body(self):
         core = make_core()
