@@ -82,6 +82,10 @@ def validate_label(label: str) -> None:
         mapped = unicodedata.normalize("NFC", label.lower())
         if any(ch.isascii() and ch not in _LDH_CHARS for ch in mapped):
             raise HostnameError(label, "label violates LDH rule")
+        if mapped.startswith("-") or mapped.endswith("-"):
+            raise HostnameError(label, "label violates LDH rule")
+        if mapped.startswith("xn--"):
+            raise HostnameError(label, "U-label carries the A-label prefix")
 
 
 def split_labels(hostname: str) -> tuple[str, ...]:

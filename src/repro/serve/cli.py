@@ -96,7 +96,10 @@ def build_serving_world(args: argparse.Namespace):
     Returns ``(store, packed, upstream, watcher_config)``.  Without
     ``--watch`` the last two are ``None``.  With it, the full history
     becomes a :class:`~repro.update.upstream.SyntheticUpstream`'s truth
-    and the served store starts ``--behind`` versions back.
+    and the served store starts ``--behind`` versions back.  The packed
+    buffer stays the full history's: a registry serves off it only the
+    versions its store held when it was built, and every version the
+    watcher ingests is built from its validated delta.
     """
     store, packed = build_world(args.seed, args.cache_dir, packed=args.packed)
     if not getattr(args, "watch", False):
@@ -107,12 +110,6 @@ def build_serving_world(args: argparse.Namespace):
     truth = store
     behind = max(1, min(args.behind, len(truth) - 1))
     store = prefix_store(truth, len(truth) - behind)
-    if packed is not None:
-        # The mmap/full-history buffer covers versions the prefix
-        # registry must not expose; repack the prefix in-process.
-        from repro.psl.packed import PackedHistory, pack_history
-
-        packed = PackedHistory.from_buffer(pack_history(store))
     return (
         store,
         packed,

@@ -15,19 +15,22 @@ This module supplies both halves:
 
 * :class:`EpochBus` — a tiny file-based coordination substrate: an
   append-only ``events.jsonl`` of swap/ingest events, an atomically
-  replaced ``EPOCH`` pointer, per-event packed blobs, and per-worker
-  heartbeat files.  Publishes serialize on an ``flock``; readers never
-  lock.  A ``/swap`` on *any* worker becomes one atomic epoch bump
-  that every worker observes within its poll interval, and the
-  supervisor's watcher publishes validated new versions the same way
-  — so the fleet answers queries from one coherent PSL version, which
-  is the whole point of a service built around the paper's
+  replaced ``EPOCH`` pointer, and per-worker heartbeat files.
+  Publishes serialize on an ``flock``; readers never lock.  A
+  ``/swap`` on *any* worker becomes one atomic epoch bump that every
+  worker observes within its poll interval, and the supervisor's
+  watcher publishes validated new versions the same way — an ingest
+  event carries the version's :class:`~repro.psl.diff.RuleDelta` as a
+  patch plus the fingerprint every worker's rebuilt list must match —
+  so the fleet answers queries from one coherent PSL version, which is
+  the whole point of a service built around the paper's
   which-version-answered harm model.
 
 Memory stays ~1× the packed buffer: every worker is forked from the
 supervisor after the snapshot buffer exists, so an ``mmap``-loaded
 ``PSLPAK1`` blob is OS-page-shared outright and an in-heap buffer is
-shared copy-on-write (and never written).
+shared copy-on-write (and never written).  Versions ingested live are
+per-worker dict tries built from the published delta.
 
 Nothing here runs on platforms without ``os.fork``; the single-process
 server in :mod:`repro.serve.http` is unaffected.
@@ -93,20 +96,27 @@ class EpochBus:
         EPOCH          current epoch as decimal text (atomic replace)
         events.jsonl   one JSON event per line, appended under LOCK
         LOCK           flock target serializing publishes
-        blobs/         per-ingest packed single-version buffers
         workers/       per-worker heartbeat JSON (atomic replace)
 
-    Publish protocol: take the flock, write the blob (if any), append
-    the event line (fsync), then atomically replace ``EPOCH``.  A
-    reader that observes ``EPOCH == n`` is therefore guaranteed the
-    journal already contains every event up to ``n`` — no reader ever
-    locks.
+    Publish protocol: take the flock, cut the journal back to its
+    published prefix, append the event line (fsync), then atomically
+    replace ``EPOCH``.  A reader that observes ``EPOCH == n`` is
+    therefore guaranteed the journal already contains every event up
+    to ``n`` — no reader ever locks, and a reader never reads past the
+    line stamped ``n``.
+
+    The cut is crash recovery: a publisher killed after its append but
+    before the ``EPOCH`` replace leaves a line nobody acknowledged, and
+    one killed mid-append leaves a torn line.  Both sit past the
+    published prefix, so the next publish drops them and reuses the
+    epoch number — epochs stay unique and no reader ever applies an
+    unpublished event.  (A ``blobs/`` directory and ``blob`` event keys
+    left by older versions of this bus are ignored.)
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
-        os.makedirs(self.blob_dir, exist_ok=True)
         os.makedirs(self.worker_dir, exist_ok=True)
         self._epoch_path = os.path.join(root, "EPOCH")
         self._events_path = os.path.join(root, "events.jsonl")
@@ -119,10 +129,6 @@ class EpochBus:
         self._cursor_pos = 0
         if not os.path.exists(self._epoch_path):
             self._write_epoch(0)
-
-    @property
-    def blob_dir(self) -> str:
-        return os.path.join(self.root, "blobs")
 
     @property
     def worker_dir(self) -> str:
@@ -140,19 +146,18 @@ class EpochBus:
         except (FileNotFoundError, ValueError):
             return 0
 
-    def _publish(self, event: dict, blob: bytes | None = None) -> int:
+    def _publish(self, event: dict) -> int:
         import fcntl  # POSIX-only, like the fork-based fleet itself
 
         with open(self._lock_path, "a+") as lock:
             fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-            epoch = self.current_epoch() + 1
-            event = dict(event, epoch=epoch)
-            if blob is not None:
-                blob_name = f"{epoch}.bin"
-                atomic_write_bytes(os.path.join(self.blob_dir, blob_name), blob)
-                event["blob"] = blob_name
-            with open(self._events_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+            published = self.current_epoch()
+            _, end = self._scan(published, published)
+            epoch = published + 1
+            line = json.dumps(dict(event, epoch=epoch), sort_keys=True) + "\n"
+            with open(self._events_path, "ab") as handle:
+                handle.truncate(end)  # drop an unacknowledged or torn tail
+                handle.write(line.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())
             self._write_epoch(epoch)
@@ -173,7 +178,6 @@ class EpochBus:
         message: str,
         fingerprint: str,
         activate: bool,
-        blob: bytes | None,
     ) -> int:
         """A validated new version: workers append it to their history."""
         return self._publish(
@@ -185,25 +189,34 @@ class EpochBus:
                 "message": message,
                 "fingerprint": fingerprint,
                 "activate": bool(activate),
-            },
-            blob=blob,
+            }
         )
 
     def events_since(self, epoch: int) -> list[dict]:
         """Every published event with epoch strictly greater than ``epoch``.
 
         Reads up to the *currently published* epoch only, so a publish
-        racing this read can never surface a half-written line.  The
-        journal is append-only and epoch-ordered (publishes serialize on
-        the flock), so this process remembers the byte offset of the last
-        line it consumed and resumes there — each poll pays for the new
-        events, not the whole journal.  A caller asking about an epoch
-        older than the cursor (e.g. a fresh registry replaying from zero)
-        falls back to a full scan.
+        racing this read can never surface a half-written line.
         """
         published = self.current_epoch()
         if published <= epoch:
             return []
+        events, _ = self._scan(epoch, published)
+        return events
+
+    def _scan(self, epoch: int, published: int) -> tuple[list[dict], int]:
+        """The journal's events in ``(epoch, published]``, and the byte
+        offset just past the line stamped ``published``.
+
+        The journal is epoch-ordered (publishes serialize on the
+        flock), so this process remembers the byte offset of the last
+        published line it consumed and resumes there — each poll pays
+        for the new events, not the whole journal.  A caller asking
+        about an epoch older than the cursor (e.g. a fresh registry
+        replaying from zero) falls back to a full scan.  The scan stops
+        at a torn line or one past ``published``: both are tails a
+        killed publisher left, which the next publish cuts.
+        """
         with self._cursor_lock:
             start_epoch, start_pos = self._cursor_epoch, self._cursor_pos
         if epoch < start_epoch:
@@ -211,31 +224,25 @@ class EpochBus:
         events: list[dict] = []
         seen_epoch, pos = start_epoch, start_pos
         try:
-            with open(self._events_path, "r", encoding="utf-8") as handle:
+            with open(self._events_path, "rb") as handle:
                 handle.seek(start_pos)
-                while True:
-                    line = handle.readline()
-                    if not line or not line.endswith("\n"):
-                        break  # EOF, or a torn tail mid-append: stop before it
-                    stripped = line.strip()
-                    if stripped:
-                        event = json.loads(stripped)
+                for line in handle:
+                    if not line.endswith(b"\n"):
+                        break  # torn tail mid-append: stop before it
+                    if line.strip():
+                        event = json.loads(line)
                         if event["epoch"] > published:
-                            break  # past the published fence; reread next poll
+                            break  # past the published fence
                         if event["epoch"] > epoch:
                             events.append(event)
                         seen_epoch = event["epoch"]
-                    pos = handle.tell()
+                    pos += len(line)
         except FileNotFoundError:
-            return []
+            return [], 0
         with self._cursor_lock:
             if seen_epoch > self._cursor_epoch:
                 self._cursor_epoch, self._cursor_pos = seen_epoch, pos
-        return events
-
-    def read_blob(self, name: str) -> bytes:
-        with open(os.path.join(self.blob_dir, name), "rb") as handle:
-            return handle.read()
+        return events, pos
 
     # -- heartbeats ----------------------------------------------------------
 
@@ -268,7 +275,7 @@ class EpochBus:
             pass
 
 
-def apply_event(registry: SnapshotRegistry, bus: EpochBus, event: dict) -> None:
+def apply_event(registry: SnapshotRegistry, event: dict) -> None:
     """Apply one published event to a worker's registry, idempotently.
 
     ``swap`` events always activate (activation of the current version
@@ -276,7 +283,9 @@ def apply_event(registry: SnapshotRegistry, bus: EpochBus, event: dict) -> None:
     forked *after* the supervisor already held the version (or one
     replaying the journal from epoch zero) skips the append and only
     honours the activation — so replay from any fork point converges
-    on the same registry state.
+    on the same registry state.  The appended list is pinned to the
+    event's ``fingerprint``: a worker whose history diverged from the
+    publisher's refuses the event instead of serving a different list.
     """
     kind = event["kind"]
     if kind == "swap":
@@ -294,13 +303,10 @@ def apply_event(registry: SnapshotRegistry, bus: EpochBus, event: dict) -> None:
             f"epoch bus gap: event ingests v{index} but local history ends at "
             f"v{len(registry.store) - 1}"
         )
-    delta = RuleDelta.from_patch(event["patch"])
-    blob = bus.read_blob(event["blob"]) if event.get("blob") else None
     registry.ingest(
         datetime.date.fromisoformat(event["date"]),
-        delta,
+        RuleDelta.from_patch(event["patch"]),
         message=event.get("message", ""),
-        packed_blob=blob,
         expected_fingerprint=event.get("fingerprint") or None,
         activate=bool(event.get("activate", True)),
     )
@@ -343,7 +349,8 @@ class BusEpochs:
     def catch_up(self) -> int:
         """Apply every event this process has not applied yet.
 
-        A failing event (e.g. a blob deleted out from under us) leaves
+        A failing event (e.g. one whose fingerprint this worker's
+        history cannot reproduce) leaves
         the registry on its last-good version — the same containment
         contract the watcher's ingest path has — and is retried on the
         next poll rather than crashing the worker.
@@ -351,7 +358,7 @@ class BusEpochs:
         with self._lock:
             for event in self._bus.events_since(self._applied):
                 try:
-                    apply_event(self._registry, self._bus, event)
+                    apply_event(self._registry, event)
                 except Exception as exc:
                     self._last_error = f"epoch {event.get('epoch')}: {exc!r}"
                     break
@@ -370,7 +377,7 @@ class BusEpochs:
 
         The swap is only reported as successful once this worker has
         *applied* it: if an earlier pending event fails to apply (e.g. a
-        missing blob), :meth:`catch_up` stops before the swap and this
+        fingerprint mismatch), :meth:`catch_up` stops before the swap and this
         worker is still serving the old version — answering 200 with the
         target version would be a lie, so the request fails instead and
         the published swap is retried by the poll loop.
@@ -403,9 +410,10 @@ class PublishingRegistry(SnapshotRegistry):
 
     The update watcher validates and ingests exactly as in the
     single-process tier; this subclass adds one post-commit step —
-    publishing the validated delta (and its packed blob) as an epoch
-    event so every worker replays the same ingest.  Rejections raise
-    before ``super().ingest`` returns and therefore never publish.
+    publishing the validated delta and the fingerprint of the list it
+    built as an epoch event, so every worker replays the same ingest.
+    Rejections raise before ``super().ingest`` returns and therefore
+    never publish.
     """
 
     def __init__(self, store: VersionStore, bus: EpochBus, **kwargs) -> None:
@@ -418,7 +426,6 @@ class PublishingRegistry(SnapshotRegistry):
         delta: RuleDelta,
         *,
         message: str = "",
-        packed_blob: bytes | None = None,
         expected_fingerprint: str | None = None,
         activate: bool = True,
     ) -> PslSnapshot:
@@ -426,7 +433,6 @@ class PublishingRegistry(SnapshotRegistry):
             date,
             delta,
             message=message,
-            packed_blob=packed_blob,
             expected_fingerprint=expected_fingerprint,
             activate=activate,
         )
@@ -435,9 +441,8 @@ class PublishingRegistry(SnapshotRegistry):
             date=date,
             patch=delta.to_patch(),
             message=message,
-            fingerprint=expected_fingerprint or snapshot.fingerprint,
+            fingerprint=snapshot.fingerprint,
             activate=activate,
-            blob=bytes(packed_blob) if packed_blob is not None else None,
         )
         return snapshot
 

@@ -18,7 +18,12 @@ The :class:`SnapshotRegistry` provides:
 * **multi-version residency** — a bounded LRU of additional resident
   snapshots for "what would version X say" probes
   (:meth:`~SnapshotRegistry.resident`), the serving-side analogue of
-  the paper's Figure 7 divergence measurement.
+  the paper's Figure 7 divergence measurement;
+* **live ingest** — :meth:`~SnapshotRegistry.ingest` appends a
+  validated :class:`~repro.psl.diff.RuleDelta`, builds the new list
+  from the tip's rules plus the delta, and hot-swaps to it.  A packed
+  registry serves off its buffer only the versions its store held when
+  it was built; every ingested version is a dict trie.
 
 Stale-copy misclassification is the paper's central harm; a registry
 that can hold any historical version side by side with the live one is
@@ -39,12 +44,7 @@ from repro.history.store import VersionStore
 from repro.history.version import PslVersion
 from repro.psl.diff import RuleDelta
 from repro.psl.list import PublicSuffixList, SuffixMatch
-from repro.psl.packed import (
-    PackedFormatError,
-    PackedHistory,
-    dict_trie_bytes,
-    estimated_dict_trie_bytes,
-)
+from repro.psl.packed import PackedHistory, dict_trie_bytes, estimated_dict_trie_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,12 +176,16 @@ class SnapshotRegistry:
             raise ValueError("resident_capacity must be positive")
         if len(store) == 0:
             raise ValueError("cannot serve an empty version store")
-        if packed is not None and len(packed) != len(store):
+        if packed is not None and len(packed) < len(store):
             raise ValueError(
                 f"packed history has {len(packed)} versions, store has {len(store)}"
             )
         self._store = store
         self._packed = packed
+        #: Versions served off ``packed``: those the store held at
+        #: construction.  A longer buffer (the full history behind a
+        #: prefix store) never answers for a version ingested later.
+        self._packed_count = len(store)
         self._clock = clock
         self._lock = threading.Lock()
         self._resident: OrderedDict[int, PslSnapshot] = OrderedDict()
@@ -265,11 +269,12 @@ class SnapshotRegistry:
         if cached is not None:
             self._resident.move_to_end(index)
             return cached
-        if self._packed is not None and index < len(self._packed):
+        if self._packed is not None and index < self._packed_count:
             # The packed path: a trie *view* into the shared buffer —
             # no trie build, no rule materialization, near-zero-copy.
-            # Versions ingested live (beyond the packed buffer, which
-            # is immutable) fall through to the dict path below.
+            # Versions ingested live fall through to the dict path
+            # below, even where the buffer holds a version at that
+            # index: the store's delta, not the buffer, defines them.
             trie = self._packed.trie(index)
             snapshot = PslSnapshot(
                 version=self._store.version(index),
@@ -283,18 +288,22 @@ class SnapshotRegistry:
                 ),
             )
         else:
-            psl = self._store.checkout(index)
-            measured = dict_trie_bytes(psl._trie)
-            snapshot = PslSnapshot(
-                version=self._store.version(index),
-                psl=psl,
-                built_at=self._clock(),
-                resident_bytes=measured,
-                dict_bytes_estimate=measured,
+            snapshot = self._dict_snapshot(
+                self._store.version(index), self._store.checkout(index)
             )
         self._resident[index] = snapshot
         self._evict_locked()
         return snapshot
+
+    def _dict_snapshot(self, version: PslVersion, psl: PublicSuffixList) -> PslSnapshot:
+        measured = dict_trie_bytes(psl._trie)
+        return PslSnapshot(
+            version=version,
+            psl=psl,
+            built_at=self._clock(),
+            resident_bytes=measured,
+            dict_bytes_estimate=measured,
+        )
 
     def _evict_locked(self) -> None:
         active_index = self._active.index if hasattr(self, "_active") else None
@@ -344,7 +353,6 @@ class SnapshotRegistry:
         delta: RuleDelta,
         *,
         message: str = "",
-        packed_blob: bytes | None = None,
         expected_fingerprint: str | None = None,
         activate: bool = True,
     ) -> PslSnapshot:
@@ -352,75 +360,35 @@ class SnapshotRegistry:
 
         This is the watcher's push path, with a **last-good fallback**
         contract: every input that can fail is validated *before* any
-        state mutates, so a rejected ingest — corrupt packed blob,
-        wrong fingerprint, a delta that does not apply cleanly — raises
+        state mutates, so a rejected ingest — wrong fingerprint, a
+        delta that does not apply cleanly — raises :class:`ValueError`
         and leaves the active snapshot, the resident set, and the
         backing store exactly as they were.  Concurrent readers never
         observe a failed ingest at all.
 
-        ``packed_blob``, when given, must be a single-version packed
-        buffer (as built by :func:`repro.psl.packed.pack_rules`); its
-        magic / length / CRC-32 are verified by
-        :class:`~repro.psl.packed.PackedHistory` and the new snapshot
-        serves straight off it.  ``expected_fingerprint`` additionally
-        pins the blob to the rule set the caller validated (a blob for
-        the wrong version is rejected even when internally intact).
-        Without a blob the snapshot materializes through the dict-trie
-        checkout path.
+        The new list is built from the tip's rules plus ``delta`` (the
+        same dict-trie form every version past the packed buffer
+        takes).  ``expected_fingerprint`` pins it to the rule set the
+        caller validated: a delta that lands on a diverged history is
+        refused even when it applies cleanly.
 
         ``activate=False`` appends and materializes the version as a
         resident without publishing it — the registry's active
         snapshot (e.g. an operator-pinned version) keeps serving.
         """
         with self._lock:
-            psl: PublicSuffixList | None = None
-            blob_trie = None
-            if packed_blob is not None:
-                # CRC / magic / truncation checks happen here, before
-                # the store is touched: a corrupt blob cannot dethrone
-                # the active snapshot (it never gets near it).
-                history = PackedHistory.from_buffer(bytes(packed_blob))
-                if len(history) != 1:
-                    raise PackedFormatError(
-                        f"ingest blob must hold exactly one version, got {len(history)}"
-                    )
-                blob_trie = history.trie(0)
-                if (
-                    expected_fingerprint is not None
-                    and blob_trie.fingerprint != expected_fingerprint
-                ):
-                    raise PackedFormatError(
-                        "ingest blob fingerprint mismatch: expected "
-                        f"{expected_fingerprint[:12]}, blob carries "
-                        f"{blob_trie.fingerprint[:12]}"
-                    )
-                psl = PublicSuffixList.from_packed(blob_trie)
+            tip = self._store.rules_at(len(self._store) - 1)
+            psl = PublicSuffixList((tip - delta.removed) | delta.added)
+            if expected_fingerprint is not None and psl.fingerprint != expected_fingerprint:
+                raise ValueError(
+                    "ingest fingerprint mismatch: expected "
+                    f"{expected_fingerprint[:12]}, delta yields {psl.fingerprint[:12]}"
+                )
             # ``commit`` validates monotone dates and clean application
             # before mutating anything, so a bad delta raises with the
             # store untouched.
             version = self._store.commit(date, delta, message=message)
-            if psl is not None:
-                snapshot = PslSnapshot(
-                    version=version,
-                    psl=psl,
-                    built_at=self._clock(),
-                    packed=True,
-                    mmap_shared=False,
-                    resident_bytes=len(packed_blob),
-                    dict_bytes_estimate=estimated_dict_trie_bytes(
-                        blob_trie.node_count, len(blob_trie)
-                    ),
-                )
-            else:
-                psl = self._store.checkout(version.index)
-                measured = dict_trie_bytes(psl._trie)
-                snapshot = PslSnapshot(
-                    version=version,
-                    psl=psl,
-                    built_at=self._clock(),
-                    resident_bytes=measured,
-                    dict_bytes_estimate=measured,
-                )
+            snapshot = self._dict_snapshot(version, psl)
             self._resident[version.index] = snapshot
             if activate:
                 previous = self._active
@@ -471,8 +439,10 @@ class SnapshotRegistry:
 
     def describe(self, *, limit: int | None = None) -> dict:
         """Registry state in the ``/versions`` wire shape."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
         versions = self._store.versions
-        if limit is not None and limit >= 0:
+        if limit is not None:
             versions = versions[-limit:] if limit else ()
         return {
             "count": len(self._store),

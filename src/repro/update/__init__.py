@@ -17,8 +17,9 @@ Layering::
          |                            deterministic runtime FaultPlan
     Watcher            (watcher.py)   poll -> validate (checksum,
          |                            parse, clean apply, digest,
-         |                            packed CRC) -> atomic hot-swap
-         |                            via SnapshotRegistry.ingest;
+         |                            rule count) -> the RuleDelta
+         |                            into SnapshotRegistry.ingest
+         |                            (build, commit, hot-swap);
          |                            quarantine + full-snapshot
          |                            resync; IngestJournal replay log
     SLO layer          (slo.py)       fresh / stale / degraded health

@@ -13,13 +13,13 @@ One :class:`Watcher` keeps a live :class:`~repro.serve.snapshots
    a quarantined version), then validates end to end *before anything
    is published*: body checksum, patch/snapshot parse, clean apply
    against the local tip, order-independent rule-set digest match,
-   and a freshly packed blob whose CRC-32 and stamped fingerprint are
-   verified (optionally round-tripped through the content-addressed
-   :class:`~repro.pipeline.store.ArtifactStore`);
-3. pushes the validated version into the registry through
-   :meth:`~repro.serve.snapshots.SnapshotRegistry.ingest` — an atomic
-   commit-plus-hot-swap with last-good fallback, so a version that
-   fails *any* check leaves the active snapshot serving untouched;
+   and declared rule count;
+3. pushes the validated :class:`~repro.psl.diff.RuleDelta` into the
+   registry through
+   :meth:`~repro.serve.snapshots.SnapshotRegistry.ingest`, which builds
+   the new list from the tip plus the delta and commits it with an
+   atomic hot-swap and last-good fallback, so a version that fails
+   *any* check leaves the active snapshot serving untouched;
 4. appends one :class:`IngestRecord` per decision to the
    :class:`IngestJournal`.
 
@@ -45,9 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.history.version import rule_digest
-from repro.pipeline.store import ArtifactStore
 from repro.psl.diff import RuleDelta
-from repro.psl.packed import PackedFormatError, PackedHistory, pack_rules
 from repro.runtime.executor import RetryPolicy
 from repro.serve.snapshots import PslSnapshot, SnapshotRegistry
 from repro.update.slo import HealthState, SloPolicy, UpdateStatus, evaluate
@@ -68,15 +66,11 @@ __all__ = [
     "WatcherConfig",
 ]
 
-#: Stage name the packed per-version blobs are stored under in the
-#: artifact pipeline (content-addressed by packed fingerprint).
-ARTIFACT_STAGE = "update-packed"
-
 _T = TypeVar("_T")
 
 
 class UpdateValidationError(RuntimeError):
-    """A fetched version failed validation (checksum/parse/apply/CRC)."""
+    """A fetched version failed validation (checksum/parse/apply/digest)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +207,6 @@ class Watcher:
         *,
         config: WatcherConfig | None = None,
         journal: IngestJournal | None = None,
-        artifacts: ArtifactStore | None = None,
         sleep: Callable[[float], None] = time.sleep,
         today: Callable[[], datetime.date] = datetime.date.today,
     ) -> None:
@@ -221,7 +214,6 @@ class Watcher:
         self._upstream = upstream
         self._config = config if config is not None else WatcherConfig()
         self.journal = journal if journal is not None else IngestJournal()
-        self._artifacts = artifacts
         self._sleep = sleep
         self._today = today
         self._lock = threading.RLock()
@@ -417,42 +409,21 @@ class Watcher:
                 f"rule-set digest mismatch after applying v{envelope.index}: the "
                 "declared fingerprint does not match the applied result"
             )
-        new_rules = frozenset((current - delta.removed) | delta.added)
-        if len(new_rules) != envelope.rule_count:
+        applied_count = len(current) - len(delta.removed) + len(delta.added)
+        if applied_count != envelope.rule_count:
             raise UpdateValidationError(
                 f"rule count mismatch on v{envelope.index}: "
-                f"declared {envelope.rule_count}, applied {len(new_rules)}"
+                f"declared {envelope.rule_count}, applied {applied_count}"
             )
-
-        blob = pack_rules(new_rules)
-        try:
-            packed = PackedHistory.from_buffer(blob)  # magic / length / CRC-32
-            fingerprint = packed.fingerprint(0)
-        except PackedFormatError as exc:
-            raise UpdateValidationError(
-                f"packed blob for v{envelope.index} failed validation: {exc}"
-            ) from exc
-
-        if self._artifacts is not None:
-            self._artifacts.put(ARTIFACT_STAGE, fingerprint, bytes(blob), raw=True)
-            if (
-                self._artifacts.persistent
-                and self._artifacts.payload_path(ARTIFACT_STAGE, fingerprint) is None
-            ):
-                raise UpdateValidationError(
-                    f"packed artifact for v{envelope.index} failed round-trip verification"
-                )
 
         try:
             return self._registry.ingest(
                 envelope.date,
                 delta,
                 message=f"update: {source} upstream v{envelope.index} {envelope.commit[:12]}",
-                packed_blob=blob,
-                expected_fingerprint=fingerprint,
                 activate=self._config.activate,
             )
-        except (PackedFormatError, ValueError) as exc:
+        except ValueError as exc:
             raise UpdateValidationError(f"registry rejected v{envelope.index}: {exc}") from exc
 
     # -- the loop / serving-tier thread --------------------------------------

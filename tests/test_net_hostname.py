@@ -140,7 +140,24 @@ class TestULabelGate:
         with pytest.raises(HostnameError):
             validate_label("abc\n")
 
-    @pytest.mark.parametrize("value", ["bücher.de", "a_ü.com", "x-ü.com", "ÄÖ.de"])
+    @pytest.mark.parametrize("value", ["-ü.com", "ü-.com", "a.-bücher.de", "Ü-.com"])
+    def test_edge_hyphen_ulabel_rejected_like_ascii(self, value):
+        # ``-a.com`` and ``a-.com`` are refused; their U-label forms too.
+        assert normalize_or_none(value) is None
+        with pytest.raises(HostnameError) as excinfo:
+            normalize_or_reject(value)
+        assert excinfo.value.reason == "label violates LDH rule"
+
+    @pytest.mark.parametrize("value", ["xn--ü.com", "XN--bücher.de", "a.xn--ü"])
+    def test_ulabel_with_alabel_prefix_rejected(self, value):
+        assert normalize_or_none(value) is None
+        with pytest.raises(HostnameError) as excinfo:
+            normalize_or_reject(value)
+        assert excinfo.value.reason == "U-label carries the A-label prefix"
+
+    @pytest.mark.parametrize(
+        "value", ["bücher.de", "a_ü.com", "x-ü.com", "ÄÖ.de", "ü-ü.com", "xn-ü.de"]
+    )
     def test_ldh_ulabels_still_pass(self, value):
         assert normalize_or_reject(value) == value.lower()
 

@@ -21,8 +21,10 @@ import urllib.request
 
 import pytest
 
+from repro.history.store import VersionStore
 from repro.psl.diff import RuleDelta
-from repro.psl.packed import PackedHistory, pack_history, pack_rules
+from repro.psl.list import PublicSuffixList
+from repro.psl.packed import PackedHistory, pack_history
 from repro.psl.rules import Rule
 from repro.serve.fleet import (
     BusEpochs,
@@ -88,9 +90,8 @@ class TestEpochBus:
         assert bus.events_since(1) == [events[1]]
         assert bus.events_since(2) == []
 
-    def test_ingest_event_carries_blob(self, tmp_path):
+    def test_ingest_event_carries_patch_and_fingerprint(self, tmp_path):
         bus = EpochBus(str(tmp_path / "bus"))
-        blob = pack_rules([Rule.parse("com")])
         epoch = bus.publish_ingest(
             index=3,
             date=datetime.date(2023, 1, 1),
@@ -98,11 +99,14 @@ class TestEpochBus:
             message="m",
             fingerprint="f",
             activate=True,
-            blob=blob,
         )
         (event,) = bus.events_since(0)
-        assert event["epoch"] == epoch and event["kind"] == "ingest"
-        assert bus.read_blob(event["blob"]) == blob
+        assert event == {
+            "kind": "ingest", "index": 3, "date": "2023-01-01",
+            "patch": "# psl-delta v1\n", "message": "m", "fingerprint": "f",
+            "activate": True, "epoch": epoch,
+        }
+        assert sorted(os.listdir(bus.root)) == ["EPOCH", "LOCK", "events.jsonl", "workers"]
 
     def test_events_since_resumes_from_cursor(self, tmp_path):
         """The read cursor makes polls O(new events); resumed, fresh,
@@ -134,6 +138,111 @@ class TestEpochBus:
         bus.clear_heartbeat(0)
         assert [b["worker"] for b in bus.read_heartbeats()] == [1]
         bus.clear_heartbeat(99)  # unknown worker: no error
+
+
+def publish_swaps(root: str, count: int) -> list[int]:
+    """One publisher process's share of the concurrent-publish test."""
+    bus = EpochBus(root)
+    return [bus.publish_swap(index) for index in range(count)]
+
+
+class TestEpochBusCrashRecovery:
+    """A publisher killed mid-publish leaves the old state, never a torn one."""
+
+    def journal(self, bus) -> str:
+        return os.path.join(bus.root, "events.jsonl")
+
+    def test_killed_after_append_before_epoch_replace(self, tmp_path):
+        bus = EpochBus(str(tmp_path / "bus"))
+        bus.publish_swap(1)
+        # The killed publish: its line is fsynced, ``EPOCH`` still says 1.
+        with open(self.journal(bus), "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"epoch": 2, "index": 5, "kind": "swap"}) + "\n")
+        assert bus.current_epoch() == 1
+        assert [e["epoch"] for e in EpochBus(bus.root).events_since(0)] == [1]
+        assert bus.publish_swap(0) == 2
+        events = EpochBus(bus.root).events_since(0)
+        assert [(e["epoch"], e["index"]) for e in events] == [(1, 1), (2, 0)]
+        assert bus.events_since(1) == [events[1]]
+
+    def test_killed_mid_append(self, tmp_path):
+        bus = EpochBus(str(tmp_path / "bus"))
+        bus.publish_swap(1)
+        with open(self.journal(bus), "a", encoding="utf-8") as handle:
+            handle.write('{"epoch": 2, "ind')  # torn: no newline, no EPOCH bump
+        assert EpochBus(bus.root).events_since(0)[-1]["epoch"] == 1
+        assert bus.publish_swap(0) == 2
+        assert bus.publish_swap(2) == 3
+        fresh = EpochBus(bus.root)
+        events = fresh.events_since(0)
+        assert [(e["epoch"], e["index"]) for e in events] == [(1, 1), (2, 0), (3, 2)]
+        assert fresh.events_since(2) == [events[2]]
+        with open(self.journal(bus), "rb") as handle:
+            assert [json.loads(line)["epoch"] for line in handle] == [1, 2, 3]
+
+    def test_publisher_that_only_publishes_still_cuts_the_tail(self, tmp_path):
+        """The supervisor publishes and never reads; its scan resumes
+        from the cursor its own publishes leave behind."""
+        bus = EpochBus(str(tmp_path / "bus"))
+        for index in range(3):
+            bus.publish_swap(index)
+        with open(self.journal(bus), "a", encoding="utf-8") as handle:
+            handle.write('{"epoch": 4, "index": 9, "kind": "swap"}\n{"epo')
+        assert bus.publish_swap(7) == 4
+        events = EpochBus(bus.root).events_since(0)
+        assert [(e["epoch"], e["index"]) for e in events] == [
+            (1, 0), (2, 1), (3, 2), (4, 7),
+        ]
+
+    def test_concurrent_publishers_keep_epochs_unique(self, tmp_path):
+        """More publishing processes than cores: every publish cuts and
+        appends under the flock, so the journal stays 1..N in order."""
+        import multiprocessing
+
+        root = str(tmp_path / "bus")
+        EpochBus(root)
+        publishers, count = 2 * (os.cpu_count() or 1) + 1, 20
+        with multiprocessing.get_context("spawn").Pool(publishers) as pool:
+            results = pool.starmap_async(publish_swaps, [(root, count)] * publishers)
+            epochs = [epoch for batch in results.get(timeout=120) for epoch in batch]
+        total = publishers * count
+        assert sorted(epochs) == list(range(1, total + 1))
+        journal = [e["epoch"] for e in EpochBus(root).events_since(0)]
+        assert journal == list(range(1, total + 1))
+
+    def test_parent_journal_with_blobs_still_replays(self, tmp_path):
+        """A bus written before ingest events dropped their packed blob
+        (``blob`` keys, a ``blobs/`` directory) replays from its patch;
+        the blob is ignored and the fingerprint pin still holds."""
+        truth = make_store()
+        delta = RuleDelta(added=frozenset({Rule.parse("dev")}), removed=frozenset())
+        fingerprint = PublicSuffixList(truth.rules_at(2) | delta.added).fingerprint
+        root = tmp_path / "bus"
+        (root / "blobs").mkdir(parents=True)
+        (root / "workers").mkdir()
+        (root / "blobs" / "2.bin").write_bytes(b"PSLPAK1 from an older bus")
+        lines = [
+            {"epoch": 1, "index": 0, "kind": "swap"},
+            {
+                "activate": True, "blob": "2.bin", "date": "2023-06-01", "epoch": 2,
+                "fingerprint": fingerprint, "index": 3, "kind": "ingest",
+                "message": "adds dev", "patch": delta.to_patch(),
+            },
+        ]
+        (root / "events.jsonl").write_text(
+            "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+        )
+        (root / "EPOCH").write_text("2")
+        registry = SnapshotRegistry(make_store())
+        epochs = BusEpochs(registry, EpochBus(str(root)))
+        assert epochs.catch_up() == 2 and epochs.last_error is None
+        assert registry.active.index == 3
+        assert registry.active.fingerprint == fingerprint
+        assert registry.active.match("app.dev").site == "app.dev"
+        # The pin is live: the same event over a diverged history fails.
+        lines[1]["fingerprint"] = "0" * 64
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
+            apply_event(SnapshotRegistry(make_store()), lines[1])
 
 
 class TestBusEpochs:
@@ -185,7 +294,7 @@ class TestBusEpochs:
             "epoch": 1,
         }
         with pytest.raises(RuntimeError, match="gap"):
-            apply_event(registry, bus, event)
+            apply_event(registry, event)
         assert registry.active.index == 2  # untouched
 
     def test_swap_blocked_by_failed_event_is_an_error_not_a_lie(self, tmp_path):
@@ -203,7 +312,6 @@ class TestBusEpochs:
             message="",
             fingerprint="f",
             activate=True,
-            blob=None,
         )
         registry = SnapshotRegistry(make_store())
         epochs = BusEpochs(registry, bus)
@@ -223,7 +331,6 @@ class TestBusEpochs:
             message="",
             fingerprint="f",
             activate=True,
-            blob=None,
         )
         registry = SnapshotRegistry(make_store())
         epochs = BusEpochs(registry, bus)
@@ -231,6 +338,29 @@ class TestBusEpochs:
         assert registry.active.index == 2  # still on last good
         assert epochs.epoch() == 0  # event not applied
         assert epochs.last_error is not None
+
+    def test_diverged_worker_refuses_the_ingest_and_keeps_last_good(self, tmp_path):
+        """The publisher's delta applies cleanly to a worker whose base
+        history differs, but yields another list: the event's
+        fingerprint pin refuses it, and the worker keeps serving."""
+        bus = EpochBus(str(tmp_path / "bus"))
+        publisher = PublishingRegistry(make_store(), bus)
+        diverged = VersionStore()
+        for version in make_store().versions[:2]:
+            diverged.commit(version.date, version.delta)
+        diverged.commit_rules(datetime.date(2022, 1, 1), added=[Rule.parse("*.kawasaki.jp")])
+        registry = SnapshotRegistry(diverged)
+        before = registry.active
+        epochs = BusEpochs(registry, bus)
+
+        delta = RuleDelta(added=frozenset({Rule.parse("dev")}), removed=frozenset())
+        publisher.ingest(datetime.date(2023, 6, 1), delta, message="adds dev")
+        assert epochs.catch_up() == 0
+        assert "fingerprint mismatch" in epochs.last_error
+        assert registry.active is before and len(diverged) == 3
+        assert registry.generation == 0
+        # Still the diverged v2's own answer: a wildcard, no exception.
+        assert registry.active.match("www.city.kawasaki.jp").site == "www.city.kawasaki.jp"
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +543,9 @@ class TestFleetHotSwapDrill:
 
         truth = make_store()
         behind = prefix_store(truth, len(truth) - 1)  # v2 not yet ingested
-        packed = PackedHistory.from_buffer(pack_history(behind))
+        # The truth's blob, as ``psl-serve --watch --packed`` passes it:
+        # workers serve v0-v1 off it and build the ingested v2.
+        packed = PackedHistory.from_buffer(pack_history(truth))
         config = FleetConfig(
             workers=4,
             port=0,
@@ -476,6 +608,7 @@ class TestFleetHotSwapDrill:
             # Traffic spanned the swap: early answers on v1, late on v2.
             assert answered[-1] == 2
             assert set(answered) <= {1, 2}
+            assert not os.path.exists(tmp_path / "run" / "blobs")
         finally:
             stop.set()
             supervisor.drain()

@@ -211,3 +211,42 @@ class TestMetricsExposure:
         text = self._scrape(registry)
         assert self._value(text, "psl_serve_resident_packed_bytes") == 0
         assert self._value(text, "psl_serve_resident_dict_bytes") > 0
+
+
+class TestWatchPackedStartup:
+    """``psl-serve --watch --packed`` serves the prefix off the world's
+    blob as it is: no repack at start-up and no pack per ingest."""
+
+    def test_build_server_never_packs(self, store, monkeypatch):
+        import argparse
+
+        import repro.psl
+        import repro.psl.packed
+        import repro.serve.cli as serve_cli
+
+        blob = PackedHistory.from_buffer(pack_history(store))
+        monkeypatch.setattr(serve_cli, "build_world", lambda seed, cache_dir, packed: (store, blob))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("packed at runtime")
+
+        for module in (repro.psl, repro.psl.packed):
+            monkeypatch.setattr(module, "pack_history", refuse)
+            monkeypatch.setattr(module, "pack_rules", refuse)
+        args = argparse.Namespace(
+            seed=0, cache_dir=None, packed=True, watch=True, behind=1, poll_interval=0.1,
+            host="127.0.0.1", port=0, version="latest", resident=4, max_inflight=8,
+            request_timeout=5.0, verbose=False,
+        )
+        server = serve_cli.build_server(args)
+        try:
+            registry = server.registry
+            assert registry.packed_history is blob
+            assert len(registry) == 2 and registry.active.packed
+            (record,) = server.watcher.poll_once()
+            assert record.action == "accepted"
+            assert record.fingerprint == store.checkout(2).fingerprint
+            assert registry.active.index == 2 and not registry.active.packed
+            assert registry.active.match("sub.city.kawasaki.jp").site == "city.kawasaki.jp"
+        finally:
+            server.server_close()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.history.store import VersionStore
 from repro.net.errors import HostnameError
+from repro.psl.list import PublicSuffixList
 from repro.psl.packed import PackedHistory, pack_history
 from repro.psl.rules import Rule
 from repro.serve.engine import BatchItemError, QueryEngine, SiteAnswer
@@ -147,6 +148,11 @@ class TestRegistry:
         assert len(full["versions"]) == 3
         assert len(limited["versions"]) == 1
         assert limited["versions"][0]["index"] == 2
+        assert registry.describe(limit=0)["versions"] == []
+
+    def test_describe_refuses_a_negative_limit(self, registry):
+        with pytest.raises(ValueError, match="non-negative"):
+            registry.describe(limit=-1)
 
 
 class TestQueryEngine:
@@ -345,15 +351,15 @@ class TestRegistryIngest:
         return RuleDelta(added=frozenset(Rule.parse(t) for t in texts), removed=frozenset())
 
     def test_ingest_appends_and_activates(self, store):
-        from repro.psl.packed import pack_rules
-
         registry = SnapshotRegistry(store)
         delta = self.delta("dev")
-        blob = pack_rules(frozenset(store.rules_at(2) | {Rule.parse("dev")}))
-        snapshot = registry.ingest(datetime.date(2023, 1, 1), delta, packed_blob=blob)
+        expected = PublicSuffixList(store.rules_at(2) | {Rule.parse("dev")}).fingerprint
+        snapshot = registry.ingest(
+            datetime.date(2023, 1, 1), delta, expected_fingerprint=expected
+        )
         assert registry.active is snapshot
         assert snapshot.index == 3
-        assert snapshot.packed
+        assert snapshot.fingerprint == expected
         assert len(store) == 4
         assert registry.generation == 1
 
@@ -373,53 +379,26 @@ class TestRegistryIngest:
         assert registry.generation == 0
         assert registry.resident(3) is snapshot
 
-    def test_corrupt_blob_leaves_the_active_snapshot_serving(self, store):
-        """The ISSUE's containment regression: activation of a packed
-        blob whose CRC fails must leave the previous active snapshot
-        serving uninterrupted — and the history unmutated."""
-        from repro.psl.packed import PackedFormatError, pack_rules
-
+    def test_fingerprint_mismatch_leaves_store_active_and_generation(self, store):
+        """The last-good contract: a delta whose result is not the list
+        the caller validated is refused before anything commits, and
+        the previous active snapshot keeps serving."""
         registry = SnapshotRegistry(store)
         before = registry.active
-        rules = frozenset(store.rules_at(2) | {Rule.parse("dev")})
-        blob = bytearray(pack_rules(rules))
-        blob[-3] ^= 0xFF  # flip a payload byte: CRC-32 must catch it
-        with pytest.raises(PackedFormatError):
-            registry.ingest(
-                datetime.date(2023, 1, 1), self.delta("dev"), packed_blob=bytes(blob)
-            )
-        assert registry.active is before  # last-good fallback
-        assert len(store) == 3  # nothing committed
-        assert registry.generation == 0
-        # And the active snapshot still answers.
-        assert before.psl.match("www.example.co.uk").site == "example.co.uk"
-
-    def test_truncated_blob_is_rejected_before_commit(self, store):
-        from repro.psl.packed import PackedFormatError, pack_rules
-
-        registry = SnapshotRegistry(store)
-        blob = pack_rules(frozenset(store.rules_at(2) | {Rule.parse("dev")}))
-        with pytest.raises(PackedFormatError):
-            registry.ingest(
-                datetime.date(2023, 1, 1), self.delta("dev"), packed_blob=blob[: len(blob) // 2]
-            )
-        assert len(store) == 3
-
-    def test_wrong_fingerprint_blob_is_rejected(self, store):
-        from repro.psl.packed import PackedFormatError, pack_rules
-
-        registry = SnapshotRegistry(store)
-        # An internally intact blob for the WRONG rule set.
-        wrong = pack_rules(store.rules_at(0))
-        expected = registry.active.fingerprint
-        with pytest.raises(PackedFormatError):
+        resident = registry.resident_indexes()
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
             registry.ingest(
                 datetime.date(2023, 1, 1),
                 self.delta("dev"),
-                packed_blob=wrong,
-                expected_fingerprint=expected,
+                expected_fingerprint=before.fingerprint,  # the wrong list
             )
-        assert len(store) == 3
+        assert registry.active is before
+        assert len(store) == 3  # nothing committed
+        assert registry.generation == 0
+        assert registry.resident_indexes() == resident
+        assert before.psl.match("www.example.co.uk").site == "example.co.uk"
+        # The store is still whole: the right ingest lands afterwards.
+        assert registry.ingest(datetime.date(2023, 1, 1), self.delta("dev")).index == 3
 
     def test_unclean_delta_is_rejected_with_store_untouched(self, store):
         from repro.psl.diff import RuleDelta
@@ -434,17 +413,10 @@ class TestRegistryIngest:
         assert registry.generation == 0
 
     def test_ingested_version_is_queryable_like_any_other(self, store):
-        from repro.psl.packed import pack_rules
-
         registry = SnapshotRegistry(store)
         engine = QueryEngine(registry)
         assert engine.site("a.foo.dev").site == "foo.dev"  # default rule
-        rules = frozenset(store.rules_at(2) | {Rule.parse("foo.dev")})
-        registry.ingest(
-            datetime.date(2023, 1, 1),
-            self.delta("foo.dev"),
-            packed_blob=pack_rules(rules),
-        )
+        registry.ingest(datetime.date(2023, 1, 1), self.delta("foo.dev"))
         answer = engine.site("a.foo.dev")
         assert answer.version_index == 3
         assert answer.public_suffix == "foo.dev"
@@ -458,3 +430,35 @@ class TestRegistryIngest:
         assert registry.active is snapshot
         assert snapshot.index == 3
         assert registry.resident(3).psl.match("app.dev").site == "app.dev"
+
+    def test_packed_registry_never_serves_an_ingested_version_off_the_blob(self):
+        """The full-history blob behind a prefix store (``psl-serve
+        --watch --packed``): the registry serves off it only the
+        versions its store held at construction.  An ingested v2 that
+        differs from the blob's v2 answers by its delta."""
+        from repro.serve.cli import prefix_store
+
+        truth = make_store()
+        prefix = prefix_store(truth, 2)
+        registry = SnapshotRegistry(
+            prefix, packed=PackedHistory.from_buffer(pack_history(truth)), resident_capacity=1
+        )
+        assert registry.active.index == 1 and registry.active.packed
+        # The blob's v2 adds the Kawasaki pair; this v2 adds ``foo.dev``.
+        snapshot = registry.ingest(datetime.date(2023, 1, 1), self.delta("foo.dev"))
+        assert snapshot.index == 2 and not snapshot.packed
+        assert registry.describe()["active"]["packed"] is False
+        registry.activate(0)
+        assert registry.resident(0).packed and registry.resident(1).packed
+        assert 2 not in registry.resident_indexes()  # evicted: rebuilt below
+        for pinned in (snapshot, registry.resident(2)):
+            assert not pinned.packed
+            assert pinned.match("a.foo.dev").site == "a.foo.dev"
+            assert pinned.match("a.b.kawasaki.jp").site == "kawasaki.jp"
+
+    def test_packed_history_shorter_than_the_store_is_refused(self, store):
+        from repro.serve.cli import prefix_store
+
+        short = PackedHistory.from_buffer(pack_history(prefix_store(store, 2)))
+        with pytest.raises(ValueError, match="2 versions, store has 3"):
+            SnapshotRegistry(store, packed=short)

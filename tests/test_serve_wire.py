@@ -202,3 +202,18 @@ def test_wildcard_exception_idn_and_suffix_rows(core):
     assert [row["is_public_suffix"] for row in body["answers"]] == [
         False, False, True, True, True, False,
     ]
+
+
+def test_edge_hyphen_and_prefixed_ulabels_are_error_rows(core):
+    """U-labels obey the ASCII labels' hyphen rule and never carry ``xn--``."""
+    status, raw = post_batch(core, ["-ü.com", "ü-.com", "xn--ü.com", "-a.com", "bücher.com"])
+    body = json.loads(raw)
+    assert status == 200 and body["count"] == 5 and body["errors"] == 4
+    assert [row.get("error", {}).get("reason") for row in body["answers"]] == [
+        "label violates LDH rule",
+        "label violates LDH rule",
+        "U-label carries the A-label prefix",
+        "label violates LDH rule",
+        None,
+    ]
+    assert body["answers"][4]["site"] == "xn--bcher-kva.com"

@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.history.store import VersionStore
-from repro.pipeline.store import ArtifactStore
 from repro.runtime.executor import RetryPolicy
 from repro.serve.snapshots import SnapshotRegistry
 from repro.update.slo import HealthState, SloPolicy
@@ -27,7 +26,7 @@ from repro.update.upstream import (
     full_key,
     patch_key,
 )
-from repro.update.watcher import ARTIFACT_STAGE, IngestJournal, Watcher, WatcherConfig
+from repro.update.watcher import IngestJournal, Watcher, WatcherConfig
 
 from tests.test_update_upstream import make_truth
 
@@ -84,8 +83,9 @@ class TestHappyPath:
         generation_before = registry.generation
         watcher.poll_once()
         assert registry.generation == generation_before + 3
-        # The ingested snapshots serve from validated packed blobs.
-        assert registry.active.packed
+        # The ingested snapshot is the list built from the validated delta.
+        assert not registry.active.packed
+        assert registry.active.fingerprint == truth.checkout(5).fingerprint
 
     def test_commit_chain_matches_the_upstream_history(self, truth):
         watcher, registry, _ = make_watcher(truth, behind=3)
@@ -278,26 +278,6 @@ class TestReplay:
                 "poll", "upstream_index", "action", "source", "attempts",
                 "reason", "date", "commit", "fingerprint",
             }
-
-
-class TestArtifacts:
-    def test_accepted_blobs_land_in_the_artifact_store(self, truth, tmp_path):
-        artifacts = ArtifactStore(str(tmp_path / "artifacts"))
-        registry = SnapshotRegistry(make_prefix(truth, 3))
-        upstream = SyntheticUpstream(truth, sleep=lambda _: None)
-        watcher = Watcher(
-            registry,
-            upstream,
-            artifacts=artifacts,
-            sleep=lambda _: None,
-            today=lambda: TODAY,
-        )
-        import os
-
-        records = watcher.poll_once()
-        for record in records:
-            path = artifacts.payload_path(ARTIFACT_STAGE, record.fingerprint)
-            assert path is not None and os.path.exists(path)
 
 
 class TestModes:
