@@ -20,7 +20,7 @@ from benchmarks.conftest import save_artifact
 from repro.classify import (
     ClassifyEngine,
     ClassifyTask,
-    StoreVersions,
+    VersionDeltas,
     classify_chunk,
     snapshot_chunks,
 )
@@ -72,7 +72,7 @@ def test_bench_runtime_wrapper_overhead(runtime_world, tmp_path):
     def raw_loop():
         # The worker over the same tasks: no executor, no checkpoints,
         # no spill validation — then the engine's own merge.
-        source = StoreVersions.from_store(store, versions, versions[-1])
+        source = VersionDeltas.from_store(store, versions, versions[-1])
         spill_dir = str(tmp_path / "raw")
         partials = [
             classify_chunk(ClassifyTask(ref=chunk, versions=source, spill_dir=spill_dir))

@@ -9,10 +9,10 @@ One forward pass over the history drives all three figures at once:
 * **Figure 7** — the number of hostnames whose site differs from their
   site under the newest version.
 
-The pass is delta-driven (only hostnames under rules a delta touched
-are re-examined) and runs on :class:`repro.classify.ClassifyEngine`
-with the version-store source: each worker replays the history's rule
-deltas on one trie per chunk, and the chunks can fan out over a
+The pass runs on :class:`repro.classify.ClassifyEngine` over the
+version store: each worker stamps the history's rule deltas into one
+interval trie per chunk and walks every hostname once, reading off the
+versions where its site changes, and the chunks can fan out over a
 process pool — that is what makes evaluating all 1,142 versions
 against hundreds of thousands of hostnames take seconds instead of
 hours.  The per-version ``diff_vs_latest`` record

@@ -3,15 +3,16 @@
 The paper's headline numbers come from classifying 498M requests under
 every historical PSL version.  This package is that workload tier for
 the reproduction: a batch engine that streams request logs in columnar
-chunks through multiprocess workers, each ``mmap``-ing the packed
-``PSLPAK1`` history blob (:mod:`repro.psl.packed` — zero per-worker
-copy), classifying every record under a configurable set of PSL
-versions in one pass, and emitting per-version site and third-party
-count tables plus a misclassification delta versus the latest list.
-It is also the engine under Figures 5-7: given a
-:class:`~repro.history.store.VersionStore` instead of a blob, workers
-replay the store's rule deltas on one dict trie, and a web snapshot's
-hostnames and request pairs arrive as in-memory chunks
+chunks through multiprocess workers, classifying every record under a
+configurable set of PSL versions in one pass, and emitting per-version
+site and third-party count tables plus a misclassification delta
+versus the latest list.  The versions come from the packed ``PSLPAK1``
+history blob (:mod:`repro.psl.packed`), diffed once by the engine, or
+from a :class:`~repro.history.store.VersionStore`; either way workers
+get them as one delta-form source and walk each hostname once through
+an interval-stamped rule trie (:mod:`repro.psl.intervals`).  It is
+also the engine under Figures 5-7, where a web snapshot's hostnames
+and request pairs arrive as in-memory chunks
 (:func:`~repro.classify.columnar.snapshot_chunks`).
 
 Layer map (each composes an existing platform layer):
@@ -51,9 +52,8 @@ from repro.classify.engine import (
 from repro.classify.partials import (
     ChunkPartial,
     ClassifyTask,
-    PackedVersions,
     SpillRef,
-    StoreVersions,
+    VersionDeltas,
     classify_chunk,
 )
 
@@ -65,11 +65,10 @@ __all__ = [
     "ClassifyResult",
     "ClassifyTask",
     "ColumnarChunk",
-    "PackedVersions",
     "SpillRef",
     "SpooledChunkRef",
-    "StoreVersions",
     "SyntheticChunkRef",
+    "VersionDeltas",
     "VersionRow",
     "classify_chunk",
     "columnar_chunk",

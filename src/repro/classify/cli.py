@@ -32,7 +32,7 @@ import tempfile
 import time
 
 from repro.classify.engine import ClassifyEngine, ClassifyResult, select_version_indexes
-from repro.classify.partials import _history
+from repro.psl.packed import PackedHistory
 from repro.webgraph.requestlog import RequestLogConfig, record_count
 
 #: Exit status when the run completed with quarantined chunks.
@@ -51,7 +51,7 @@ def peak_rss_mb() -> float:
 
 
 def packed_artifact_path(seed: int, cache_dir: str | None, run_dir: str) -> str | None:
-    """The verified packed history blob workers will mmap.
+    """The verified packed history blob the run maps and diffs.
 
     It is the world pipeline's raw ``packed`` artifact, in
     ``cache_dir`` (built once, shared by every later run and by
@@ -196,10 +196,11 @@ def main(argv: list[str] | None = None) -> int:
             records=arguments.records,
             malformed_rate=arguments.malformed_rate,
         )
-        # The engine's own key: the in-process worker reuses this open.
-        total_versions = len(_history(os.path.abspath(packed)))
+        # One open (one CRC pass) serves both the count and the engine.
+        history = PackedHistory.load(os.path.abspath(packed))
+        total_versions = len(history)
         engine = ClassifyEngine(
-            packed,
+            history,
             version_indexes=select_version_indexes(total_versions, arguments.versions),
             baseline=arguments.baseline,
             workers=arguments.workers,

@@ -5,10 +5,13 @@ request-log source (``psl-classify``) or a web snapshot's universes
 (the Figure 5-7 sweep) into per-version count tables by composing the
 platform layers:
 
-* the version source is chosen by the engine's input type — a packed
-  ``PSLPAK1`` blob path (workers ``mmap`` it) or a
-  :class:`~repro.history.store.VersionStore` (workers replay its rule
-  deltas on one dict trie);
+* the version source is one
+  :class:`~repro.classify.partials.VersionDeltas`, the selected
+  versions (plus the baseline) as a first rule set and one delta per
+  later version, cut from a :class:`~repro.history.store.VersionStore`
+  or diffed from a packed ``PSLPAK1`` blob; the engine builds it once,
+  on its first run, and every worker walks each hostname once through
+  the :class:`~repro.psl.intervals.IntervalTrie` built from it;
 * chunk planning cuts fixed-size chunks with stable task ids, every
   merge a commutative sum, so results are bit-identical for any chunk
   size or worker count;
@@ -46,14 +49,13 @@ from repro.classify.columnar import (
 from repro.classify.partials import (
     ChunkPartial,
     ClassifyTask,
-    PackedVersions,
     SpillReader,
-    StoreVersions,
-    _history,
+    VersionDeltas,
     classify_chunk,
     partial_validator,
 )
 from repro.history.store import VersionStore
+from repro.psl.packed import PackedHistory
 from repro.runtime import (
     CheckpointStore,
     ExecutionReport,
@@ -214,8 +216,9 @@ class ClassifyResult:
 class ClassifyEngine:
     """Runs one classify job end to end inside a run directory.
 
-    ``history`` is a packed blob path or a
-    :class:`~repro.history.store.VersionStore`; either way
+    ``history`` is a :class:`~repro.history.store.VersionStore`, a
+    packed blob path, or an already opened
+    :class:`~repro.psl.packed.PackedHistory`; either way
     ``version_indexes`` and ``baseline`` are raw indexes into it.
 
     The run directory owns the mutable state — ``checkpoints/`` (the
@@ -226,7 +229,7 @@ class ClassifyEngine:
 
     def __init__(
         self,
-        history: str | VersionStore,
+        history: str | PackedHistory | VersionStore,
         *,
         version_indexes: Sequence[int],
         baseline: int = -1,
@@ -239,26 +242,23 @@ class ClassifyEngine:
     ) -> None:
         if not version_indexes:
             raise ValueError("version_indexes must not be empty")
-        store = history if isinstance(history, VersionStore) else None
-        if store is None:
-            packed_path = os.path.abspath(history)
-            # The per-process open the in-process worker reuses: one
-            # CRC check per blob and process, not one per caller.
-            packed = _history(packed_path)
-            total = len(packed)
-        else:
-            total = len(store)
+        if isinstance(history, str):
+            history = PackedHistory.load(os.path.abspath(history))
+        total = len(history)
         if total == 0:
             raise ValueError("history has no versions")
         self._versions = tuple(sorted({range(total)[i] for i in version_indexes}))
         self._baseline = range(total)[baseline]
-        self._source: PackedVersions | StoreVersions
-        if store is None:
-            self._source = PackedVersions(packed_path, self._versions, self._baseline)
-            self._fingerprint = packed.fingerprint
+        # The version source is built on the first run, not here:
+        # diffing a blob's versions is the costly part of a cold start.
+        self._history = history
+        self._source: VersionDeltas | None = None
+        if isinstance(history, VersionStore):
+            self._fingerprint = lambda index: format(history.version(index).set_digest, "032x")
+            self._diff = VersionDeltas.from_store
         else:
-            self._source = StoreVersions.from_store(store, self._versions, self._baseline)
-            self._fingerprint = lambda index: format(store.version(index).set_digest, "032x")
+            self._fingerprint = history.fingerprint
+            self._diff = VersionDeltas.from_packed
         self._workers = workers
         self._run_dir = run_dir
         self._resume = resume
@@ -283,7 +283,7 @@ class ClassifyEngine:
         """Classify the deterministic synthetic stream for ``config``.
 
         Tasks carry generator coordinates, not records: each covers
-        ``blocks_per_task`` whole generation blocks, so task pickles
+        ``blocks_per_task`` whole generation blocks, so chunk refs
         stay tiny at any scale and chunk content is independent of the
         chunking itself.
         """
@@ -370,6 +370,8 @@ class ClassifyEngine:
         # The run owns its directory: reclaim what killed writes left.
         remove_temp_files(spill_dir)
         remove_temp_files(os.path.join(self._run_dir, "spool"))
+        if self._source is None:
+            self._source = self._diff(self._history, self._versions, self._baseline)
         tasks = [
             ClassifyTask(ref=ref, versions=self._source, spill_dir=spill_dir)
             for ref in refs

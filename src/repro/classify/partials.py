@@ -2,16 +2,15 @@
 
 Each worker task classifies every distinct hostname of one
 :class:`~repro.classify.columnar.ColumnarChunk` under every selected
-PSL version with :func:`repro.webgraph.sites.site_for_reversed` (the
-same site function every other layer uses).  The tries come from one
-of two version sources, chosen by the engine's input type:
-
-* :class:`PackedVersions` — a ``PSLPAK1`` blob opened once per
-  *process* and ``mmap``-ed, so a pool of N workers shares one
-  physical copy of the whole history (``psl-classify``);
-* :class:`StoreVersions` — a :class:`~repro.history.store.VersionStore`'s
-  rule deltas replayed forward on one dict trie (the Figure 5-7
-  sweep, :func:`repro.analysis.boundaries.run_sweep`).
+PSL version.  Its one version source, :class:`VersionDeltas`, carries
+the first version's rules and one :class:`~repro.psl.diff.RuleDelta`
+per later version, whether it was cut from a
+:class:`~repro.history.store.VersionStore` (the Figure 5-7 sweep,
+:func:`repro.analysis.boundaries.run_sweep`) or diffed once, in the
+engine, from a ``PSLPAK1`` blob (``psl-classify``).  The worker builds
+an :class:`~repro.psl.intervals.IntervalTrie` from it and walks each
+hostname once: the hostname's suffix-length segments over all versions
+say where its site changes.
 
 **Why a spill file.**  The merge needs per-version site multisets
 (distinct-site and largest-site numbers are global properties), but a
@@ -40,18 +39,18 @@ import operator
 import os
 import pickle
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from repro.classify.columnar import ColumnarChunk, SpooledChunkRef, SyntheticChunkRef
 from repro.history.store import VersionStore
 from repro.psl.diff import RuleDelta
-from repro.psl.packed import PackedHistory, PackedTrie
+from repro.psl.intervals import IntervalTrie
+from repro.psl.packed import PackedHistory
 from repro.psl.rules import Rule
-from repro.psl.trie import SuffixTrie
 from repro.runtime.checkpoint import AtomicFile
-from repro.webgraph.sites import site_for_reversed
 
 _SPILL_MAGIC = b"PSLCLSP1"
 _HEADER = struct.Struct("<8sI")
@@ -103,16 +102,15 @@ class ChunkPartial:
 
 @dataclass(frozen=True, slots=True)
 class ClassifyTask:
-    """Everything one worker invocation needs, in a small pickle.
+    """Everything one worker invocation needs, in one pickle.
 
-    ``versions`` is the version source — a :class:`PackedVersions` or a
-    :class:`StoreVersions` — naming the selected versions (ascending
-    raw history indexes) and the baseline (latest-list) version the
-    misclassification delta is measured against.
+    ``versions`` is the version source, naming the selected versions
+    (ascending raw history indexes) and the baseline (latest-list)
+    version the misclassification delta is measured against.
     """
 
     ref: ColumnarChunk | SyntheticChunkRef | SpooledChunkRef
-    versions: "PackedVersions | StoreVersions"
+    versions: "VersionDeltas"
     spill_dir: str
 
     @property
@@ -197,265 +195,151 @@ class SpillReader:
         self.close()
 
 
-# One PackedHistory per (process, path): reopening per task would
-# re-validate CRCs and re-mmap; keeping it process-global means a pool
-# worker pays the open once and the OS shares the mapped pages.
-_HISTORY_CACHE: dict[str, PackedHistory] = {}
-
-# Changed-rule prefixes per selected-version step — identical for
-# every chunk of a run, so computed once per (process, run shape).
-_PLAN_CACHE: dict[tuple[str, tuple[int, ...]], list[frozenset[tuple[str, ...]] | None]] = {}
-
-
-def _history(path: str) -> PackedHistory:
-    cached = _HISTORY_CACHE.get(path)
-    if cached is None:
-        cached = PackedHistory.load(path)
-        _HISTORY_CACHE[path] = cached
-    return cached
-
-
-def _rule_prefix(name: str) -> tuple[str, ...]:
-    """The reversed-label prefix under which a rule can affect hosts.
-
-    A rule change can only move the prevailing match of hosts whose
-    reversed labels pass through the rule's trie path.  PSL wildcards
-    are leftmost-only, so stripping trailing ``*`` labels (in reversed
-    order) yields a conservative literal prefix: ``*.ck`` affects at
-    most the hosts under ``("ck",)``.
-    """
-    labels = name.split(".")
-    labels.reverse()
-    while labels and labels[-1] == "*":
-        labels.pop()
-    return tuple(labels)
-
-
-def _version_plan(
-    path: str, history: PackedHistory, version_indexes: tuple[int, ...]
-) -> list[frozenset[tuple[str, ...]] | None]:
-    """Per-slot changed prefixes: ``None`` for slot 0 (full walk),
-    else the union of prefixes of rules added/removed/rekinded since
-    the previous selected version."""
-    key = (path, version_indexes)
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    plan: list[frozenset[tuple[str, ...]] | None] = []
-    previous: frozenset | None = None
-    for version_index in version_indexes:
-        rules = frozenset(history.trie(version_index).iter_rules())
-        if previous is None:
-            plan.append(None)
-        else:
-            plan.append(
-                frozenset(_rule_prefix(rule.name) for rule in rules ^ previous)
-            )
-        previous = rules
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
-#: One version step as the worker sees it: the slot's trie (None when
-#: nothing changed, so there is nothing to walk) and the changed rule
-#: prefixes (None for slot 0, the full walk).
-_Step = tuple[PackedTrie | SuffixTrie | None, frozenset[tuple[str, ...]] | None]
-
-
 @dataclass(frozen=True, slots=True)
-class PackedVersions:
-    """Versions read from a ``PSLPAK1`` blob every worker ``mmap``s.
+class VersionDeltas:
+    """The version axis in delta form: the one source a task carries.
 
-    The plan comes from diffing consecutive selected versions' rules;
-    each slot's trie is a zero-copy view (``history.trie(i)``).
+    Its slots are the selected versions plus the baseline, ascending:
+    slot 0 holds ``first_rules``, each later slot one :class:`RuleDelta`
+    from the slot before, so workers never see whether the versions came
+    from a store or a packed blob.
     """
 
-    path: str
     version_indexes: tuple[int, ...]
     baseline_index: int
-
-    def baseline_trie(self) -> PackedTrie:
-        return _history(self.path).trie(self.baseline_index)
-
-    def steps(self) -> Iterator[_Step]:
-        history = _history(self.path)
-        plan = _version_plan(self.path, history, self.version_indexes)
-        for version_index, prefixes in zip(self.version_indexes, plan):
-            trie = history.trie(version_index) if prefixes is None or prefixes else None
-            yield trie, prefixes
-
-
-@dataclass(frozen=True, slots=True)
-class StoreVersions:
-    """Versions replayed from a :class:`VersionStore` on one dict trie.
-
-    The task carries the first selected version's rules and one
-    :class:`RuleDelta` per later slot (composed across unselected
-    versions); the worker applies them forward in place on a single
-    :class:`SuffixTrie`.  Packing a whole history into a blob just to
-    sweep it would cost far more than replaying its deltas.
-    """
-
-    initial_rules: frozenset[Rule]
+    first_rules: frozenset[Rule]
     deltas: tuple[RuleDelta, ...]
-    baseline_rules: frozenset[Rule]
-    version_indexes: tuple[int, ...]
-    baseline_index: int
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        """The raw version index of each slot."""
+        return _axis(self.version_indexes, self.baseline_index)
 
     @classmethod
     def from_store(
         cls, store: VersionStore, version_indexes: tuple[int, ...], baseline_index: int
-    ) -> "StoreVersions":
-        return cls(
-            initial_rules=store.rules_at(version_indexes[0]),
-            deltas=tuple(
-                store.delta_between(older, newer)
-                for older, newer in zip(version_indexes, version_indexes[1:])
-            ),
-            baseline_rules=store.rules_at(baseline_index),
-            version_indexes=version_indexes,
-            baseline_index=baseline_index,
-        )
+    ) -> "VersionDeltas":
+        slots = _axis(version_indexes, baseline_index)
+        deltas = tuple(store.delta_between(older, newer) for older, newer in zip(slots, slots[1:]))
+        return cls(version_indexes, baseline_index, store.rules_at(slots[0]), deltas)
 
-    def baseline_trie(self) -> SuffixTrie:
-        return SuffixTrie(self.baseline_rules)
-
-    def steps(self) -> Iterator[_Step]:
-        trie = SuffixTrie(self.initial_rules)
-        yield trie, None
-        for delta in self.deltas:
-            trie.apply_delta(delta)
-            prefixes = frozenset(
-                _rule_prefix(rule.name) for rule in delta.added | delta.removed
-            )
-            yield (trie if prefixes else None), prefixes
+    @classmethod
+    def from_packed(
+        cls, history: PackedHistory, version_indexes: tuple[int, ...], baseline_index: int
+    ) -> "VersionDeltas":
+        """Diff the axis's versions neighbour by neighbour (two rule sets
+        beyond the first alive at a time)."""
+        slots = _axis(version_indexes, baseline_index)
+        first = previous = frozenset(history.trie(slots[0]).iter_rules())
+        deltas = []
+        for version_index in slots[1:]:
+            rules = frozenset(history.trie(version_index).iter_rules())
+            deltas.append(RuleDelta(added=rules - previous, removed=previous - rules))
+            previous = rules
+        return cls(version_indexes, baseline_index, first, tuple(deltas))
 
 
-class _ChunkColumns:
-    """Per-chunk lookup structures for the incremental version walk."""
-
-    def __init__(self, chunk: ColumnarChunk) -> None:
-        self.rlabels = [tuple(host.split(".")[::-1]) for host in chunk.hosts]
-        self.by_first: dict[str, list[int]] = {}
-        self.by_two: dict[tuple[str, str], list[int]] = {}
-        for i, labels in enumerate(self.rlabels):
-            self.by_first.setdefault(labels[0], []).append(i)
-            if len(labels) > 1:
-                self.by_two.setdefault((labels[0], labels[1]), []).append(i)
-        # Host index -> positions in the pair columns touching it.
-        self.pair_index: dict[int, list[int]] = {}
-        for position, host in enumerate(chunk.pages):
-            self.pair_index.setdefault(host, []).append(position)
-        for position, host in enumerate(chunk.requests):
-            self.pair_index.setdefault(host, []).append(position)
-
-    def candidates(self, prefixes: frozenset[tuple[str, ...]]):
-        """Host indexes possibly affected by rules under ``prefixes``
-        (a superset: callers re-walk and drop no-ops)."""
-        out: set[int] = set()
-        for prefix in prefixes:
-            if not prefix:
-                return range(len(self.rlabels))
-            if len(prefix) == 1:
-                out.update(self.by_first.get(prefix[0], ()))
-            else:
-                bucket = self.by_two.get((prefix[0], prefix[1]), ())
-                if len(prefix) == 2:
-                    out.update(bucket)
-                else:
-                    depth = len(prefix)
-                    rlabels = self.rlabels
-                    out.update(i for i in bucket if rlabels[i][:depth] == prefix)
-        return out
+def _axis(version_indexes: tuple[int, ...], baseline_index: int) -> tuple[int, ...]:
+    return tuple(sorted({*version_indexes, baseline_index}))
 
 
 def classify_chunk(task: ClassifyTask) -> ChunkPartial:
     """Classify one chunk under every selected version.
 
-    Only the baseline and the first selected version pay a full
-    ``hosts`` trie walk; every later version is **incremental**: the
-    version source names the rule prefixes that changed since the
-    previous selected version, only hosts under those prefixes are
-    re-walked, and the third-party / misclassification / spill numbers
-    are updated from the actual site flips alone.  A typical version
-    step changes a few dozen rules, so per-version cost is O(changed),
-    not O(hosts) — which is what keeps a 1,142-version sweep cheap.
+    Each distinct hostname is walked once, through the source's
+    :class:`~repro.psl.intervals.IntervalTrie`; its segments give its
+    site under the first selected version and the baseline, and the
+    slots where that site flips.  Slot 0 pays one pass over the chunk;
+    every later slot updates the third-party / misclassification /
+    spill numbers from its own flips alone, so a 1,142-version sweep
+    costs O(flips) per version, not O(hosts).
     """
     chunk = task.ref.load()
     versions = task.versions
-    columns = _ChunkColumns(chunk)
-    rlabels = columns.rlabels
+    selected = versions.version_indexes
+    slots = versions.slots
+    # The selected slot a trie slot's change lands in: the first
+    # selected version at or after it (``len(selected)`` when none).
+    # Only an unselected baseline makes this other than the identity.
+    lands = [bisect_left(selected, version_index) for version_index in slots]
+    base_slot = slots.index(versions.baseline_index)
+    segments_of = IntervalTrie(versions.first_rules, versions.deltas).segments
     occurrences = chunk.occurrences
     pages = chunk.pages
     requests = chunk.requests
 
-    baseline_trie = versions.baseline_trie()
-    base_sites = [site_for_reversed(baseline_trie, labels) for labels in rlabels]
-    os.makedirs(task.spill_dir, exist_ok=True)
-    writer = SpillWriter(
-        os.path.join(task.spill_dir, f"{task.task_id}.spill"), len(versions.version_indexes)
-    )
-    third_party: list[int] = []
-    misclassified: list[int] = []
     sites: list[str] = []
-    current_tp = 0
-    current_mis = 0
+    base_sites: list[str] = []
+    flips: list[dict[int, str]] = [{} for _ in selected]
+    for i, host in enumerate(chunk.hosts):
+        labels = host.split(".")
+        labels.reverse()
+        segments = segments_of(labels)
+        if len(segments) == 1:
+            take = segments[0][1] + 1
+            site = host if take >= len(labels) else ".".join(labels[take - 1 :: -1])
+            sites.append(site)
+            base_sites.append(site)
+            continue
+        # Same site rule as site_for_reversed, per segment; the last
+        # segment landing on a selected slot holds its site.
+        later: dict[int, str] = {}
+        for start, length in segments:
+            later[lands[start]] = site = ".".join(labels[min(length + 1, len(labels)) - 1 :: -1])
+            if start <= base_slot:
+                base_site = site
+        first_site = later.pop(0)
+        later.pop(len(selected), None)
+        sites.append(first_site)
+        base_sites.append(base_site)
+        previous = first_site
+        for slot, site in later.items():
+            if site != previous:
+                flips[slot][i] = site
+                previous = site
+
+    os.makedirs(task.spill_dir, exist_ok=True)
+    writer = SpillWriter(os.path.join(task.spill_dir, f"{task.task_id}.spill"), len(selected))
     try:
-        for version_index, (trie, prefixes) in zip(versions.version_indexes, versions.steps()):
-            if prefixes is None:
-                # Full walk (first selected version), full counters.
-                if version_index == versions.baseline_index:
-                    sites = base_sites.copy()
-                    current_mis = 0
-                else:
-                    sites = [site_for_reversed(trie, labels) for labels in rlabels]
-                    current_mis = sum(
-                        compress(occurrences, map(operator.ne, sites, base_sites))
-                    )
-                # Zero-occurrence hosts (a snapshot chunk's foreign
-                # request hosts) are walked for third-party counting
-                # only; they never enter a site counter.
-                full: dict[str, int] = {}
-                get = full.get
-                for site, occurrence in zip(sites, occurrences):
-                    if occurrence:
-                        full[site] = get(site, 0) + occurrence
-                writer.add(full)
-                site_of = sites.__getitem__
-                current_tp = sum(
-                    map(operator.ne, map(site_of, pages), map(site_of, requests))
-                )
-            else:
-                changes: dict[int, str] = {}
-                if trie is not None:
-                    for i in columns.candidates(prefixes):
-                        new_site = site_for_reversed(trie, rlabels[i])
-                        if new_site != sites[i]:
-                            changes[i] = new_site
-                delta: dict[str, int] = {}
-                if changes:
-                    touched: set[int] = set()
-                    for i in changes:
-                        touched.update(columns.pair_index.get(i, ()))
-                    for position in touched:
-                        page, request = pages[position], requests[position]
-                        old_ne = sites[page] != sites[request]
-                        new_ne = changes.get(page, sites[page]) != changes.get(
-                            request, sites[request]
-                        )
-                        current_tp += new_ne - old_ne
-                    get = delta.get
-                    for i, new_site in changes.items():
-                        occurrence = occurrences[i]
-                        old_site = sites[i]
-                        base_site = base_sites[i]
-                        delta[old_site] = get(old_site, 0) - occurrence
-                        delta[new_site] = get(new_site, 0) + occurrence
-                        current_mis += (
-                            (new_site != base_site) - (old_site != base_site)
-                        ) * occurrence
-                        sites[i] = new_site
-                writer.add({site: d for site, d in delta.items() if d})
+        # Slot 0: full counters.  Zero-occurrence hosts (a snapshot
+        # chunk's foreign request hosts) count for third-party pairs
+        # only; they never enter a site counter.
+        full: dict[str, int] = {}
+        get = full.get
+        for site, occurrence in zip(sites, occurrences):
+            if occurrence:
+                full[site] = get(site, 0) + occurrence
+        writer.add(full)
+        site_of = sites.__getitem__
+        current_tp = sum(map(operator.ne, map(site_of, pages), map(site_of, requests)))
+        current_mis = sum(compress(occurrences, map(operator.ne, sites, base_sites)))
+        third_party = [current_tp]
+        misclassified = [current_mis]
+
+        # Host -> positions of the pairs it is in, for flipping hosts.
+        pair_index: dict[int, list[int]] = {i: [] for i in set().union(*flips[1:])}
+        if pair_index:
+            for position, (page, request) in enumerate(zip(pages, requests)):
+                if page in pair_index:
+                    pair_index[page].append(position)
+                if request in pair_index:
+                    pair_index[request].append(position)
+        for changes in flips[1:]:
+            for position in {p for i in changes for p in pair_index[i]}:
+                page, request = pages[position], requests[position]
+                current_tp += (
+                    changes.get(page, sites[page]) != changes.get(request, sites[request])
+                ) - (sites[page] != sites[request])
+            delta: dict[str, int] = {}
+            get = delta.get
+            for i, new_site in changes.items():
+                occurrence = occurrences[i]
+                old_site, base_site = sites[i], base_sites[i]
+                delta[old_site] = get(old_site, 0) - occurrence
+                delta[new_site] = get(new_site, 0) + occurrence
+                current_mis += ((new_site != base_site) - (old_site != base_site)) * occurrence
+                sites[i] = new_site
+            writer.add({site: d for site, d in delta.items() if d})
             third_party.append(current_tp)
             misclassified.append(current_mis)
         spill = writer.finish()

@@ -12,6 +12,8 @@ Implements the full publicsuffix.org algorithm over ``.dat`` files:
   facade (public suffix, registrable domain, site equality);
 * :mod:`repro.psl.packed` — the flat, immutable, mmap-shareable trie
   encoding behind zero-copy snapshot serving;
+* :mod:`repro.psl.intervals` — one trie answering a hostname under
+  every version of a history at once (the classify version axis);
 * :mod:`repro.psl.diff` — deltas between list versions, the unit of the
   incremental analyses in :mod:`repro.analysis`;
 * :mod:`repro.psl.punycode` / :mod:`repro.psl.idna` — RFC 3492 and the

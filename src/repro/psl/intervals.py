@@ -1,0 +1,124 @@
+"""One interval-stamped rule trie for a whole list history.
+
+:class:`IntervalTrie` holds every rule a history of versions ("slots")
+ever carried once, in :class:`~repro.psl.trie.SuffixTrie`'s shape, each
+trie slot stamped with the ``[lo, hi)`` slot spans its rules are live
+in (several, when a rule leaves and returns or changes section).
+:meth:`IntervalTrie.segments` answers a hostname under every slot at
+once: its public-suffix length per slot, as :meth:`SuffixTrie.prevailing`
+decides it, in piecewise-constant ``(first_slot, length)`` segments.
+"""
+
+from __future__ import annotations
+
+from sys import intern
+from typing import Iterable, Sequence
+
+from repro.psl.diff import RuleDelta
+from repro.psl.rules import Rule, RuleKind
+from repro.psl.trie import WILDCARD_LABEL
+
+#: ``(first_slot, length)`` pairs: ascending, from slot 0, lengths
+#: differing between neighbours.
+Segments = tuple[tuple[int, int], ...]
+
+#: ``(lo, hi)`` slot spans, one per rule lifetime ending at a trie slot.
+Spans = tuple[tuple[int, int], ...]
+
+
+class _Node:
+    __slots__ = ("children", "normal", "exception", "here", "beyond")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _Node] = {}
+        self.normal: Spans = ()
+        self.exception: Spans = ()
+        # Resolved segments of walks ending here: with no label left
+        # (``here``), or with a next label that has no child (``beyond``,
+        # where this node's wildcard child counts).
+        self.here: Segments | None = None
+        self.beyond: Segments | None = None
+
+
+def _live(spans: Spans, slot: int) -> bool:
+    return any(lo <= slot < hi for lo, hi in spans)
+
+
+class IntervalTrie:
+    """Every slot of a rule-set history in one reversed-label trie.
+
+    Slot 0 holds ``first``; slot ``k`` applies ``deltas[k - 1]`` to
+    slot ``k - 1``, where removing an absent rule or adding a present
+    one changes nothing, as for a set.
+    """
+
+    def __init__(self, first: Iterable[Rule], deltas: Sequence[RuleDelta] = ()) -> None:
+        self.slots = len(deltas) + 1
+        self._root = _Node()
+        opened = dict.fromkeys(first, 0)
+        for slot, delta in enumerate(deltas, 1):
+            for rule in delta.removed:
+                lo = opened.pop(rule, None)
+                if lo is not None:
+                    self._stamp(rule, lo, slot)
+            for rule in delta.added:
+                opened.setdefault(rule, slot)
+        for rule, lo in opened.items():
+            self._stamp(rule, lo, self.slots)
+
+    def _stamp(self, rule: Rule, lo: int, hi: int) -> None:
+        """Record one lifetime of ``rule`` on its trie slot."""
+        node = self._root
+        for label in rule.labels:
+            child = node.children.get(label)
+            if child is None:
+                child = node.children[intern(label)] = _Node()
+            node = child
+        if rule.kind is RuleKind.EXCEPTION:
+            node.exception += ((lo, hi),)
+        else:
+            node.normal += ((lo, hi),)
+
+    def segments(self, reversed_labels: Sequence[str]) -> Segments:
+        """The hostname's public-suffix length under every slot, for
+        TLD-first labels as :meth:`SuffixTrie.prevailing` takes them."""
+        node = self._root
+        for depth, label in enumerate(reversed_labels):
+            child = node.children.get(label)
+            if child is None:
+                if node.beyond is None:
+                    node.beyond = self._resolve(reversed_labels[:depth], True)
+                return node.beyond
+            node = child
+        if node.here is None:
+            node.here = self._resolve(reversed_labels, False)
+        return node.here
+
+    def _resolve(self, path: Sequence[str], beyond: bool) -> Segments:
+        """Slot by slot, :meth:`SuffixTrie.prevailing` over the
+        candidates of a walk along ``path``."""
+        normal: list[tuple[int, Spans]] = []
+        exceptions: list[tuple[int, Spans]] = []  # shallowest first
+        node = self._root
+        for depth in range(len(path) + beyond):
+            wildcard = node.children.get(WILDCARD_LABEL)
+            if wildcard is not None and wildcard.normal:
+                normal.append((depth + 1, wildcard.normal))
+            if depth < len(path):
+                node = node.children[path[depth]]
+                if node.exception:
+                    exceptions.append((depth, node.exception))
+                if node.normal:
+                    normal.append((depth + 1, node.normal))
+        bounds = {bound for _, spans in normal + exceptions for span in spans for bound in span}
+        out: list[tuple[int, int]] = []
+        for slot in sorted(bounds | {0}):
+            if slot >= self.slots:
+                break
+            live = [length for length, spans in exceptions if _live(spans, slot)]
+            length = live[0] if live else max(
+                (length for length, spans in normal if _live(spans, slot)), default=1
+            )
+            if not out or out[-1][1] != length:
+                out.append((slot, length))
+        return tuple(out)

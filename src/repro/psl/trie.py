@@ -15,12 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from sys import intern
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.psl.rules import Rule, RuleKind
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle (diff -> list -> trie)
-    from repro.psl.diff import RuleDelta
 
 WILDCARD_LABEL = "*"
 
@@ -92,11 +89,11 @@ class SuffixTrie:
         """Remove a rule if present; returns True when something was removed.
 
         Nodes left childless and rule-less by the removal are pruned on
-        the unwind: the delta-driven sweep keeps one trie alive across
-        a whole list history (1,142 versions of add/remove churn), so
-        without pruning the node count would grow toward the union of
-        every rule the history ever carried instead of tracking the
-        live rule set.
+        the unwind: :func:`~repro.psl.packed.pack_history` keeps one trie
+        alive across a whole list history (1,142 versions of add/remove
+        churn), so without pruning the node count would grow toward the
+        union of every rule the history ever carried instead of
+        tracking the live rule set.
         """
         node = self._root
         path: list[tuple[TrieNode, str]] = []
@@ -122,21 +119,6 @@ class SuffixTrie:
             del parent.children[label]
             node = parent
         return True
-
-    def apply_delta(self, delta: "RuleDelta") -> None:
-        """Apply one version delta in place (removals first, then adds).
-
-        This is what lets a replay keep a single trie across an entire
-        list history instead of rebuilding per version: applying the
-        1,141 deltas of the paper's history costs a few thousand node
-        walks total, versus ~10k inserts per version rebuilt.  Order
-        within a delta is irrelevant — ``added`` and ``removed`` are
-        disjoint by :class:`~repro.psl.diff.RuleDelta`'s invariant.
-        """
-        for rule in delta.removed:
-            self.remove(rule)
-        for rule in delta.added:
-            self.insert(rule)
 
     def has_rule_below(self, reversed_labels: Sequence[str]) -> bool:
         """Whether any rule terminates strictly below this exact name.

@@ -20,6 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.classify.engine import ClassifyEngine, select_version_indexes
+from repro.classify.partials import SpillReader
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.net.hostname import normalize_or_none
 from repro.psl.packed import PackedHistory, pack_history
@@ -92,6 +93,26 @@ class TestSelectVersionIndexes:
             select_version_indexes(5, 0)
 
 
+def misclassified_oracle(history_store, raw_versions, raw_baseline):
+    """Per version, hostname occurrences whose ``group_sites`` site
+    differs from the baseline version's."""
+    occurrences = Counter()
+    for record in iter_records(LOG):
+        for host in record:
+            name = normalize_or_none(host)
+            if name is not None:
+                occurrences[name] += 1
+    hosts = list(occurrences)
+    baseline = group_sites(history_store.checkout(raw_baseline), hosts)
+    expected = []
+    for raw in raw_versions:
+        grouping = group_sites(history_store.checkout(raw), hosts)
+        expected.append(
+            sum(count for host, count in occurrences.items() if grouping[host] != baseline[host])
+        )
+    return expected
+
+
 class TestDifferentialOracles:
     """Engine output == serial oracles, version by version."""
 
@@ -112,23 +133,45 @@ class TestDifferentialOracles:
     def test_misclassified_matches_group_sites_delta(self, reference, history_store, subset):
         """Misclassified hostnames = occurrence-weighted disagreement
         between each version's grouping and the baseline's."""
-        occurrences = Counter()
-        for record in iter_records(LOG):
-            for host in record:
-                name = normalize_or_none(host)
-                if name is not None:
-                    occurrences[name] += 1
-        hosts = list(occurrences)
-        baseline = group_sites(
-            history_store.checkout(subset[reference.baseline_index]), hosts
+        expected = misclassified_oracle(
+            history_store,
+            [subset[row.version_index] for row in reference.rows],
+            subset[reference.baseline_index],
         )
-        for row in reference.rows:
-            grouping = group_sites(history_store.checkout(subset[row.version_index]), hosts)
-            expected = sum(
-                count for host, count in occurrences.items()
-                if grouping[host] != baseline[host]
-            )
-            assert row.misclassified_hostnames == expected
+        assert [row.misclassified_hostnames for row in reference.rows] == expected
+
+    def test_spills_replay_to_each_versions_site_multiset(
+        self, packed_path, versions, history_store, subset, tmp_path
+    ):
+        """Summed over chunks, the spills' slot 0 plus the deltas up to
+        slot ``j`` are the occurrence-weighted site multiset under
+        version ``j``, and no delta carries a zero entry."""
+        ClassifyEngine(
+            packed_path, version_indexes=versions, run_dir=str(tmp_path)
+        ).run_synthetic(LOG, blocks_per_task=2)
+        spill_dir = tmp_path / "spills"
+        readers = [SpillReader(str(spill_dir / name)) for name in sorted(os.listdir(spill_dir))]
+        occurrences = Counter(
+            name
+            for record in iter_records(LOG)
+            for name in map(normalize_or_none, record)
+            if name is not None
+        )
+        counter: Counter = Counter()
+        try:
+            for slot, version_index in enumerate(versions):
+                for reader in readers:
+                    delta = reader.read(slot)
+                    assert slot == 0 or all(delta.values())
+                    counter.update(delta)
+                grouping = group_sites(history_store.checkout(subset[version_index]), occurrences)
+                expected = Counter()
+                for host, count in occurrences.items():
+                    expected[grouping[host]] += count
+                assert +counter == expected
+        finally:
+            for reader in readers:
+                reader.close()
 
     def test_versions_actually_disagree(self, reference):
         """The synthetic log is version-sensitive by construction — an
@@ -142,6 +185,43 @@ class TestDifferentialOracles:
         assert reference.chunks == 3
         assert not reference.degraded
         assert reference.report.resumed == 0
+
+
+class TestUnselectedBaseline:
+    """The baseline is read off the run's own version axis even when it
+    is not one of the selected versions."""
+
+    def test_packed_run_measures_against_the_unselected_version(
+        self, packed_path, subset, history_store, versions, tmp_path
+    ):
+        baseline = next(i for i in range(len(subset)) if i not in versions)
+        result = ClassifyEngine(
+            packed_path, version_indexes=versions, baseline=baseline, run_dir=str(tmp_path)
+        ).run_synthetic(LOG, blocks_per_task=2)
+        assert result.baseline_index == baseline
+        assert [row.version_index for row in result.rows] == list(versions)
+        assert [row.misclassified_hostnames for row in result.rows] == misclassified_oracle(
+            history_store, [subset[i] for i in versions], subset[baseline]
+        )
+
+    @pytest.mark.parametrize("baseline", [0, 700, 1141])
+    def test_store_run_matches_group_sites_for_any_baseline(
+        self, history_store, baseline, reference, subset, tmp_path
+    ):
+        """Before, between and after the selected versions; the rows
+        other than ``misclassified`` do not depend on the baseline."""
+        chosen = [subset[row.version_index] for row in reference.rows]
+        selected = tuple(raw for raw in chosen if raw != baseline)
+        result = ClassifyEngine(
+            history_store, version_indexes=selected, baseline=baseline, run_dir=str(tmp_path)
+        ).run_synthetic(LOG, blocks_per_task=2)
+        assert [row.misclassified_hostnames for row in result.rows] == misclassified_oracle(
+            history_store, selected, baseline
+        )
+        by_raw = dict(zip(chosen, reference.rows))
+        for row in result.rows:
+            assert row.sites == by_raw[row.version_index].sites
+            assert row.third_party == by_raw[row.version_index].third_party
 
 
 class TestMergeInvariance:
