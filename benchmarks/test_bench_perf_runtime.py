@@ -20,6 +20,7 @@ from benchmarks.conftest import save_artifact
 from repro.classify import (
     ClassifyEngine,
     ClassifyTask,
+    VersionAxis,
     VersionDeltas,
     classify_chunk,
     snapshot_chunks,
@@ -71,11 +72,13 @@ def test_bench_runtime_wrapper_overhead(runtime_world, tmp_path):
 
     def raw_loop():
         # The worker over the same tasks: no executor, no checkpoints,
-        # no spill validation — then the engine's own merge.
-        source = VersionDeltas.from_store(store, versions, versions[-1])
+        # no spill validation — then the engine's own merge.  The axis
+        # is built once per round and shared by every task, as the
+        # engine builds it once per run.
+        axis = VersionAxis.build(VersionDeltas.from_store(store, versions, versions[-1]))
         spill_dir = str(tmp_path / "raw")
         partials = [
-            classify_chunk(ClassifyTask(ref=chunk, versions=source, spill_dir=spill_dir))
+            classify_chunk(ClassifyTask(ref=chunk, axis=axis, spill_dir=spill_dir))
             for chunk in chunks
         ]
         return merger._merge(partials)

@@ -8,9 +8,10 @@ configurable set of PSL versions in one pass, and emitting per-version
 site and third-party count tables plus a misclassification delta
 versus the latest list.  The versions come from the packed ``PSLPAK1``
 history blob (:mod:`repro.psl.packed`), diffed once by the engine, or
-from a :class:`~repro.history.store.VersionStore`; either way workers
-get them as one delta-form source and walk each hostname once through
-an interval-stamped rule trie (:mod:`repro.psl.intervals`).  It is
+from a :class:`~repro.history.store.VersionStore`; either way the
+engine builds them once into one interval-stamped rule trie
+(:mod:`repro.psl.intervals`) that every worker task shares, walking
+each hostname once.  It is
 also the engine under Figures 5-7, where a web snapshot's hostnames
 and request pairs arrive as in-memory chunks
 (:func:`~repro.classify.columnar.snapshot_chunks`).
@@ -53,6 +54,7 @@ from repro.classify.partials import (
     ChunkPartial,
     ClassifyTask,
     SpillRef,
+    VersionAxis,
     VersionDeltas,
     classify_chunk,
 )
@@ -68,6 +70,7 @@ __all__ = [
     "SpillRef",
     "SpooledChunkRef",
     "SyntheticChunkRef",
+    "VersionAxis",
     "VersionDeltas",
     "VersionRow",
     "classify_chunk",

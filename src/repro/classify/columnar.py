@@ -160,10 +160,10 @@ def iter_columnar_chunks(
         yield columnar_chunk(index, batch)
 
 
-#: Distinct hostnames per :func:`snapshot_chunks` chunk.  Each chunk
-#: of a version-store run builds two dict tries (its first version and
-#: the baseline), so the size trades per-chunk setup time against peak
-#: memory.
+#: Distinct hostnames per :func:`snapshot_chunks` chunk.  A chunk
+#: builds no trie (every chunk walks its engine's one version index),
+#: so the size trades per-chunk spill, checkpoint and merge overhead
+#: against peak memory.
 SNAPSHOT_CHUNK_HOSTS = 16_384
 
 

@@ -5,13 +5,17 @@ request-log source (``psl-classify``) or a web snapshot's universes
 (the Figure 5-7 sweep) into per-version count tables by composing the
 platform layers:
 
-* the version source is one
-  :class:`~repro.classify.partials.VersionDeltas`, the selected
-  versions (plus the baseline) as a first rule set and one delta per
-  later version, cut from a :class:`~repro.history.store.VersionStore`
-  or diffed from a packed ``PSLPAK1`` blob; the engine builds it once,
-  on its first run, and every worker walks each hostname once through
-  the :class:`~repro.psl.intervals.IntervalTrie` built from it;
+* the version axis is one
+  :class:`~repro.classify.partials.VersionAxis`: the selected versions
+  (plus the baseline) cut as deltas from a
+  :class:`~repro.history.store.VersionStore` or diffed from a packed
+  ``PSLPAK1`` blob, built into one
+  :class:`~repro.psl.intervals.IntervalTrie`.  The engine builds it
+  once, when its first run first has a chunk to execute (never in the
+  constructor, never for a run whose every chunk resumes from the
+  ledger), keeps only the axis, and hands that one axis to every task
+  of every run: in-process chunks share the index and the segments it
+  has resolved, and pool tasks ship it as bytes pickled once;
 * chunk planning cuts fixed-size chunks with stable task ids, every
   merge a commutative sum, so results are bit-identical for any chunk
   size or worker count;
@@ -38,7 +42,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.classify.columnar import (
     ColumnarChunk,
@@ -50,6 +54,7 @@ from repro.classify.partials import (
     ChunkPartial,
     ClassifyTask,
     SpillReader,
+    VersionAxis,
     VersionDeltas,
     classify_chunk,
     partial_validator,
@@ -249,10 +254,10 @@ class ClassifyEngine:
             raise ValueError("history has no versions")
         self._versions = tuple(sorted({range(total)[i] for i in version_indexes}))
         self._baseline = range(total)[baseline]
-        # The version source is built on the first run, not here:
-        # diffing a blob's versions is the costly part of a cold start.
+        # The axis is built when a run first has a chunk to execute, not
+        # here: diffing a blob's versions is the costly part of a cold start.
         self._history = history
-        self._source: VersionDeltas | None = None
+        self._axis: VersionAxis | None = None
         if isinstance(history, VersionStore):
             self._fingerprint = lambda index: format(history.version(index).set_digest, "032x")
             self._diff = VersionDeltas.from_store
@@ -370,12 +375,7 @@ class ClassifyEngine:
         # The run owns its directory: reclaim what killed writes left.
         remove_temp_files(spill_dir)
         remove_temp_files(os.path.join(self._run_dir, "spool"))
-        if self._source is None:
-            self._source = self._diff(self._history, self._versions, self._baseline)
-        tasks = [
-            ClassifyTask(ref=ref, versions=self._source, spill_dir=spill_dir)
-            for ref in refs
-        ]
+        tasks = _Tasks(refs, self._version_axis, spill_dir)
         executor = ResilientExecutor(
             workers=self._workers,
             policy=self._policy,
@@ -385,7 +385,7 @@ class ClassifyEngine:
         results, report = executor.run(
             classify_chunk,
             tasks,
-            task_ids=[task.task_id for task in tasks],
+            task_ids=[ref.task_id for ref in refs],
             validate=partial_validator(len(self._versions)),
         )
         partials = [value for value in results if value is not None]
@@ -405,6 +405,12 @@ class ClassifyEngine:
             report=report,
             failure=failure,
         )
+
+    def _version_axis(self) -> VersionAxis:
+        if self._axis is None:
+            source = self._diff(self._history, self._versions, self._baseline)
+            self._axis = VersionAxis.build(source)
+        return self._axis
 
     def _merge(self, partials: Sequence[ChunkPartial]) -> tuple[VersionRow, ...]:
         """Version-at-a-time merge over the chunks' spill deltas.
@@ -466,3 +472,28 @@ class ClassifyEngine:
             for reader in readers:
                 reader.close()
         return tuple(rows)
+
+
+class _Tasks(Sequence[ClassifyTask]):
+    """A run's tasks, made as the executor reads them.
+
+    The executor reads only the tasks it runs, and the first read
+    builds the engine's axis, so a run whose every chunk resumes from
+    the ledger builds none.
+    """
+
+    def __init__(
+        self,
+        refs: Sequence[ColumnarChunk | SyntheticChunkRef | SpooledChunkRef],
+        axis: Callable[[], VersionAxis],
+        spill_dir: str,
+    ) -> None:
+        self._refs = refs
+        self._axis = axis
+        self._spill_dir = spill_dir
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __getitem__(self, position: int) -> ClassifyTask:
+        return ClassifyTask(ref=self._refs[position], axis=self._axis(), spill_dir=self._spill_dir)

@@ -2,15 +2,16 @@
 
 Each worker task classifies every distinct hostname of one
 :class:`~repro.classify.columnar.ColumnarChunk` under every selected
-PSL version.  Its one version source, :class:`VersionDeltas`, carries
-the first version's rules and one :class:`~repro.psl.diff.RuleDelta`
-per later version, whether it was cut from a
-:class:`~repro.history.store.VersionStore` (the Figure 5-7 sweep,
-:func:`repro.analysis.boundaries.run_sweep`) or diffed once, in the
-engine, from a ``PSLPAK1`` blob (``psl-classify``).  The worker builds
-an :class:`~repro.psl.intervals.IntervalTrie` from it and walks each
-hostname once: the hostname's suffix-length segments over all versions
-say where its site changes.
+PSL version.  The version source is :class:`VersionDeltas`: the first
+version's rules and one :class:`~repro.psl.diff.RuleDelta` per later
+version, whether cut from a :class:`~repro.history.store.VersionStore`
+(the Figure 5-7 sweep, :func:`repro.analysis.boundaries.run_sweep`) or
+diffed from a ``PSLPAK1`` blob (``psl-classify``).  The engine builds
+it into a :class:`VersionAxis`, an
+:class:`~repro.psl.intervals.IntervalTrie` over those versions, once
+per engine, and every task carries that one axis: the worker builds
+nothing and walks each hostname once, its suffix-length segments over
+all versions saying where its site changes.
 
 **Why a spill file.**  The merge needs per-version site multisets
 (distinct-site and largest-site numbers are global properties), but a
@@ -104,13 +105,14 @@ class ChunkPartial:
 class ClassifyTask:
     """Everything one worker invocation needs, in one pickle.
 
-    ``versions`` is the version source, naming the selected versions
-    (ascending raw history indexes) and the baseline (latest-list)
-    version the misclassification delta is measured against.
+    ``axis`` is the engine's built version axis, shared by every task
+    of its runs: the selected versions, the baseline (latest-list)
+    version the misclassification delta is measured against, and the
+    index over both.
     """
 
     ref: ColumnarChunk | SyntheticChunkRef | SpooledChunkRef
-    versions: "VersionDeltas"
+    axis: "VersionAxis"
     spill_dir: str
 
     @property
@@ -197,23 +199,18 @@ class SpillReader:
 
 @dataclass(frozen=True, slots=True)
 class VersionDeltas:
-    """The version axis in delta form: the one source a task carries.
+    """The version axis in delta form: what :class:`VersionAxis` is built from.
 
     Its slots are the selected versions plus the baseline, ascending:
     slot 0 holds ``first_rules``, each later slot one :class:`RuleDelta`
-    from the slot before, so workers never see whether the versions came
-    from a store or a packed blob.
+    from the slot before, so the index never sees whether the versions
+    came from a store or a packed blob.
     """
 
     version_indexes: tuple[int, ...]
     baseline_index: int
     first_rules: frozenset[Rule]
     deltas: tuple[RuleDelta, ...]
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        """The raw version index of each slot."""
-        return _axis(self.version_indexes, self.baseline_index)
 
     @classmethod
     def from_store(
@@ -243,10 +240,56 @@ def _axis(version_indexes: tuple[int, ...], baseline_index: int) -> tuple[int, .
     return tuple(sorted({*version_indexes, baseline_index}))
 
 
+class VersionAxis:
+    """The built version axis: the one value every task of an engine shares.
+
+    ``index`` is the :class:`~repro.psl.intervals.IntervalTrie` over
+    ``slots``, the selected versions plus the baseline.  In-process
+    tasks walk this one object, so the segments the index resolves for
+    one chunk serve every later chunk and run.  A pool task pickles the
+    axis as the bytes of its first pickling (the index without its
+    resolved segments), so shipping it costs a byte copy and a worker
+    loads the built index.
+    """
+
+    __slots__ = ("version_indexes", "baseline_index", "slots", "index", "_pickled")
+
+    def __init__(
+        self, version_indexes: tuple[int, ...], baseline_index: int, index: IntervalTrie
+    ) -> None:
+        self.version_indexes = version_indexes
+        self.baseline_index = baseline_index
+        self.slots = _axis(version_indexes, baseline_index)
+        self.index = index
+        self._pickled: bytes | None = None
+
+    @classmethod
+    def build(cls, source: VersionDeltas) -> "VersionAxis":
+        return cls(
+            source.version_indexes,
+            source.baseline_index,
+            IntervalTrie(source.first_rules, source.deltas),
+        )
+
+    def __reduce__(self) -> tuple:
+        # A pool pickles on its feeder thread while the parent may walk
+        # the index; pickling reads only what no walk writes.
+        if self._pickled is None:
+            self._pickled = pickle.dumps(
+                (self.version_indexes, self.baseline_index, self.index),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        return _load_axis, (self._pickled,)
+
+
+def _load_axis(pickled: bytes) -> VersionAxis:
+    return VersionAxis(*pickle.loads(pickled))
+
+
 def classify_chunk(task: ClassifyTask) -> ChunkPartial:
     """Classify one chunk under every selected version.
 
-    Each distinct hostname is walked once, through the source's
+    Each distinct hostname is walked once, through the axis's
     :class:`~repro.psl.intervals.IntervalTrie`; its segments give its
     site under the first selected version and the baseline, and the
     slots where that site flips.  Slot 0 pays one pass over the chunk;
@@ -255,15 +298,15 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
     costs O(flips) per version, not O(hosts).
     """
     chunk = task.ref.load()
-    versions = task.versions
-    selected = versions.version_indexes
-    slots = versions.slots
+    axis = task.axis
+    selected = axis.version_indexes
+    slots = axis.slots
     # The selected slot a trie slot's change lands in: the first
     # selected version at or after it (``len(selected)`` when none).
     # Only an unselected baseline makes this other than the identity.
     lands = [bisect_left(selected, version_index) for version_index in slots]
-    base_slot = slots.index(versions.baseline_index)
-    segments_of = IntervalTrie(versions.first_rules, versions.deltas).segments
+    base_slot = slots.index(axis.baseline_index)
+    segments_of = axis.index.segments
     occurrences = chunk.occurrences
     pages = chunk.pages
     requests = chunk.requests

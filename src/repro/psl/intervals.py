@@ -7,6 +7,8 @@ in (several, when a rule leaves and returns or changes section).
 :meth:`IntervalTrie.segments` answers a hostname under every slot at
 once: its public-suffix length per slot, as :meth:`SuffixTrie.prevailing`
 decides it, in piecewise-constant ``(first_slot, length)`` segments.
+An index pickles as its stamped trie alone, without the segments its
+walks resolved, so its bytes do not depend on what it has answered.
 """
 
 from __future__ import annotations
@@ -40,6 +42,23 @@ class _Node:
         self.beyond: Segments | None = None
 
 
+#: A node without its resolved segments: ``(normal, exception, {label: child})``.
+_Frozen = tuple[Spans, Spans, dict[str, "_Frozen"]]
+
+
+def _freeze(node: _Node) -> _Frozen:
+    return node.normal, node.exception, {
+        label: _freeze(child) for label, child in node.children.items()
+    }
+
+
+def _thaw(frozen: _Frozen) -> _Node:
+    node = _Node()
+    node.normal, node.exception, children = frozen
+    node.children = {label: _thaw(child) for label, child in children.items()}
+    return node
+
+
 def _live(spans: Spans, slot: int) -> bool:
     return any(lo <= slot < hi for lo, hi in spans)
 
@@ -65,6 +84,13 @@ class IntervalTrie:
                 opened.setdefault(rule, slot)
         for rule, lo in opened.items():
             self._stamp(rule, lo, self.slots)
+
+    def __getstate__(self) -> tuple[int, _Frozen]:
+        return self.slots, _freeze(self._root)
+
+    def __setstate__(self, state: tuple[int, _Frozen]) -> None:
+        self.slots, frozen = state
+        self._root = _thaw(frozen)
 
     def _stamp(self, rule: Rule, lo: int, hi: int) -> None:
         """Record one lifetime of ``rule`` on its trie slot."""

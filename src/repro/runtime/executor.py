@@ -161,9 +161,10 @@ class ResilientExecutor:
 
         Quarantined tasks leave ``None`` at their position.  ``validate``
         (parent-side, never pickled) rejects corrupt results, turning
-        them into ordinary retryable failures.
+        them into ordinary retryable failures.  ``tasks`` is read only
+        at the positions that execute, after the checkpoint restore, so
+        a task that resumes is never made.
         """
-        tasks = list(tasks)
         ids = list(task_ids) if task_ids is not None else [str(i) for i in range(len(tasks))]
         if len(ids) != len(tasks):
             raise ValueError("task_ids must align with tasks")
@@ -232,7 +233,7 @@ class ResilientExecutor:
     def _run_serially(
         self,
         function: Callable[[_Task], Any],
-        tasks: list[_Task],
+        tasks: Sequence[_Task],
         ids: list[str],
         position: int,
         validate: Callable[[Any], bool] | None,
@@ -262,7 +263,7 @@ class ResilientExecutor:
     def _final_serial_attempt(
         self,
         function: Callable[[_Task], Any],
-        tasks: list[_Task],
+        tasks: Sequence[_Task],
         ids: list[str],
         position: int,
         attempts_so_far: int,
@@ -290,7 +291,7 @@ class ResilientExecutor:
     def _run_on_pool(
         self,
         function: Callable[[_Task], Any],
-        tasks: list[_Task],
+        tasks: Sequence[_Task],
         ids: list[str],
         pending: list[int],
         validate: Callable[[Any], bool] | None,

@@ -12,6 +12,7 @@ second; the full blob is for the acceptance run, not the test suite).
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -19,12 +20,20 @@ from collections import Counter
 
 import pytest
 
+import repro.analysis.boundaries as boundaries
+import repro.classify.engine as engine_module
+import repro.classify.partials as partials
+from repro.analysis.boundaries import run_sweep
+from repro.classify.columnar import snapshot_chunks
 from repro.classify.engine import ClassifyEngine, select_version_indexes
-from repro.classify.partials import SpillReader
+from repro.classify.partials import ClassifyTask, SpillReader, VersionAxis, VersionDeltas
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.net.hostname import normalize_or_none
+from repro.psl.intervals import IntervalTrie
 from repro.psl.packed import PackedHistory, pack_history
 from repro.runtime import ALWAYS, Fault, FaultKind, FaultPlan
+from repro.webgraph.archive import Snapshot
+from repro.webgraph.records import Page
 from repro.webgraph.requestlog import RequestLogConfig, iter_records
 from repro.webgraph.sites import group_sites
 from repro.webgraph.stream import count_sites_streaming, count_third_party_streaming
@@ -242,6 +251,18 @@ class TestMergeInvariance:
         result = engine.run_synthetic(LOG, blocks_per_task=2)
         assert result.rows == reference.rows
 
+    def test_workers_do_not_change_store_rows(self, history_store, subset, versions, tmp_path):
+        raw = [subset[i] for i in versions]
+        serial, parallel = (
+            ClassifyEngine(
+                history_store, version_indexes=raw, workers=workers,
+                run_dir=str(tmp_path / f"run-{workers}"),
+            ).run_synthetic(LOG, blocks_per_task=2)
+            for workers in (1, 2)
+        )
+        assert serial.chunks == 3
+        assert parallel.rows == serial.rows
+
     def test_spooled_stream_matches_synthetic(self, packed_path, versions, reference, tmp_path):
         """``run_stream`` (columnarize + spool an arbitrary iterable)
         lands on the same rows even with chunk boundaries that divide
@@ -312,6 +333,95 @@ class TestResume:
         assert resumed.report.resumed == 2
         assert resumed.report.executed == 1
         assert resumed.rows == reference.rows
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of index builds, blob diffs and chunk walks in this process."""
+    counts = Counter()
+
+    class CountedTrie(IntervalTrie):
+        def __init__(self, *args):
+            counts["index"] += 1
+            super().__init__(*args)
+
+    from_packed = VersionDeltas.from_packed.__func__
+
+    def counted_from_packed(cls, *args):
+        counts["from_packed"] += 1
+        return from_packed(cls, *args)
+
+    def counted_chunk(task):
+        counts["chunks"] += 1
+        return partials.classify_chunk(task)
+
+    monkeypatch.setattr(partials, "IntervalTrie", CountedTrie)
+    monkeypatch.setattr(VersionDeltas, "from_packed", classmethod(counted_from_packed))
+    monkeypatch.setattr(engine_module, "classify_chunk", counted_chunk)
+    return counts
+
+
+class TestOneIndexPerEngine:
+    """The engine builds its version index once; chunks only walk it."""
+
+    def test_runs_on_one_engine_share_one_index(self, builds, packed_path, versions, reference,
+                                                tmp_path):
+        engine = ClassifyEngine(packed_path, version_indexes=versions, run_dir=str(tmp_path))
+        assert builds["index"] == builds["from_packed"] == 0
+        first = engine.run_synthetic(LOG, blocks_per_task=2)
+        second = engine.run_synthetic(LOG, blocks_per_task=2)
+        assert builds["chunks"] == first.chunks + second.chunks == 6
+        assert builds["index"] == builds["from_packed"] == 1
+        assert first.rows == second.rows == reference.rows
+
+    def test_serial_sweep_over_many_chunks_builds_one_index(self, builds, history_store,
+                                                            monkeypatch):
+        hosts = sorted({normalize_or_none(host) for record in iter_records(LOG)
+                        for host in record} - {None})[:60]
+        snapshot = Snapshot(pages=[Page(hosts[0], tuple(hosts[1:5]))],
+                            extra_hostnames=set(hosts))
+        monkeypatch.setattr(boundaries, "SNAPSHOT_CHUNK_HOSTS", 16)
+        result = run_sweep(history_store, snapshot)
+        assert builds["chunks"] == 4
+        assert builds["index"] == 1
+        assert len(result.points) == len(history_store)
+
+    def test_fully_checkpointed_resume_builds_nothing(self, builds, packed_path, versions,
+                                                      reference, tmp_path):
+        run_dir = str(tmp_path / "run")
+        ClassifyEngine(packed_path, version_indexes=versions, run_dir=run_dir).run_synthetic(
+            LOG, blocks_per_task=2
+        )
+        builds.clear()
+        resumed = ClassifyEngine(
+            packed_path, version_indexes=versions, run_dir=run_dir, resume=True
+        ).run_synthetic(LOG, blocks_per_task=2)
+        assert resumed.report.resumed == resumed.chunks == 3
+        assert builds == Counter()
+        assert resumed.rows == reference.rows
+
+    def test_pool_tasks_pickle_the_index_once(self, history_store, subset, monkeypatch):
+        axis = VersionAxis.build(VersionDeltas.from_store(history_store, tuple(subset), subset[-1]))
+        states = Counter()
+        getstate = IntervalTrie.__getstate__
+
+        def counted_getstate(index):
+            states["index"] += 1
+            return getstate(index)
+
+        monkeypatch.setattr(IntervalTrie, "__getstate__", counted_getstate)
+        tasks = [
+            ClassifyTask(ref=chunk, axis=axis, spill_dir="spills")
+            for chunk in snapshot_chunks(["a.com", "b.net", "c.org"], (), 1)
+        ]
+        loaded = [pickle.loads(pickle.dumps(task)).axis for task in tasks]
+        assert states["index"] == 1
+        host = ["com", "example", "www"]
+        for other in loaded:
+            assert (other.version_indexes, other.baseline_index, other.slots) == (
+                axis.version_indexes, axis.baseline_index, axis.slots
+            )
+            assert other.index.segments(host) == axis.index.segments(host)
 
 
 class TestDegradedRuns:

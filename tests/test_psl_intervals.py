@@ -10,10 +10,13 @@ from scratch:
   the ICANN section in one version and the PRIVATE section in another
   (or in both at once); the pool mixes normal, wildcard and exception
   rules over a three-letter alphabet, so hostnames hit them often;
-* hand-built histories pin the cases by name.
+* hand-built histories pin the cases by name;
+* a pickled index answers every host as the original does, whether or
+  not the original had resolved segments before it was pickled.
 """
 
 import datetime
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +108,23 @@ class TestDifferential:
     @given(histories(), hostnames)
     def test_segments_equal_prevailing_at_every_slot(self, store, hosts):
         assert_matches_every_slot(store, hosts)
+
+
+class TestPickle:
+    @settings(max_examples=150, deadline=None)
+    @given(histories(), hostnames, hostnames)
+    def test_round_trip_keeps_every_segment(self, store, walked, hosts):
+        fresh = index_of(store)
+        filled = index_of(store)
+        for host in walked:
+            filled.segments(host)
+        # The resolved segments stay out of the bytes.
+        assert pickle.dumps(filled) == pickle.dumps(fresh)
+        for index in (fresh, filled):
+            loaded = pickle.loads(pickle.dumps(index))
+            assert loaded.slots == index.slots
+            for host in walked + hosts:
+                assert loaded.segments(host) == index.segments(host), host
 
 
 def store_of(*versions):

@@ -303,6 +303,25 @@ class TestCheckpointStore:
         assert again == first == [4, 9]
         assert report_again.resumed == 2 and report_again.executed == 0
 
+    def test_only_executed_tasks_are_read(self, tmp_path):
+        """A resumed task is never read from ``tasks``, so a lazily made
+        task sequence makes only what runs."""
+        checkpoint = CheckpointStore(str(tmp_path))
+        ResilientExecutor(policy=FAST, checkpoint=checkpoint).run(_square, [2], task_ids=["a"])
+        read: list[int] = []
+
+        class Recorded(list):
+            def __getitem__(self, position):
+                read.append(position)
+                return super().__getitem__(position)
+
+        results, report = ResilientExecutor(policy=FAST, checkpoint=checkpoint).run(
+            _square, Recorded([2, 3]), task_ids=["a", "b"]
+        )
+        assert results == [4, 9]
+        assert report.resumed == 1
+        assert read == [1]
+
 
 # -- engine-level resilience --------------------------------------------------
 #

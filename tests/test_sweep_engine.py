@@ -322,8 +322,8 @@ class TestChunking:
         assert sum(chunk.hostnames for chunk in chunks) == len(hostnames)
 
     def test_default_chunk_size_is_sane(self):
-        # Big enough to amortize two trie builds per chunk, small enough
-        # to bound a chunk's memory.
+        # Big enough to amortize per-chunk spill, checkpoint and merge
+        # overhead, small enough to bound a chunk's memory.
         assert 1024 <= SNAPSHOT_CHUNK_HOSTS <= 16_384
 
     def test_page_hosts_must_be_in_the_universe(self):
