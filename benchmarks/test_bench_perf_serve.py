@@ -28,6 +28,13 @@ Gates guarding ``repro.serve`` (ISSUE 5 + ISSUE 9 acceptance):
   proportional-set-size (Pss) from ``/proc/<pid>/smaps_rollup``, which
   counts shared pages once across the fleet.
 
+* **per-request layer split (no gate)** — µs per ``GET /site`` in
+  process, through ``RequestCore.handle`` + ``Response.encoded`` (the
+  request core, engine and trie walk) and through the transport's
+  ``_Handler._exchange`` over an in-memory stream with a stub core
+  (the HTTP loop's own parse and write).  The traced end-to-end serve
+  runs cannot split these two, so this record is where they show.
+
 ``BENCH_SERVE_SMOKE=1`` shrinks the load so ``make check`` can run the
 fleet path in seconds; the scaling ratio is then too noisy to gate, so
 smoke mode asserts only the functional contracts (zero failures, p99
@@ -36,20 +43,24 @@ budget, memory sharing).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
+import statistics
 import threading
 import time
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, save_artifact
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.psl.list import PublicSuffixList
+from repro.serve.core import Request, RequestCore, Response
 from repro.serve.engine import QueryEngine
-from repro.serve.http import PslServer
+from repro.serve.http import PslServer, _Handler
 from repro.serve.snapshots import SnapshotRegistry
 
 pytestmark = pytest.mark.bench
@@ -63,6 +74,8 @@ CACHED_LOOKUPS = 2_000 if SMOKE else 20_000
 REBUILD_LOOKUPS = 2 if SMOKE else 5
 HTTP_SINGLES = 50 if SMOKE else 150
 HTTP_BATCH_ROUNDS = 2 if SMOKE else 5
+LAYER_REQUESTS = 2_000 if SMOKE else 20_000
+LAYER_ROUNDS = 3 if SMOKE else 7
 
 # -- fleet gates -------------------------------------------------------------
 FLEET_WORKERS = 4
@@ -196,6 +209,64 @@ def test_bench_batch_amortizes_http_overhead(history, hostnames):
         print("  " + line)
     save_artifact("bench_perf_serve_batch.txt", "\n".join(lines) + "\n")
     assert advantage >= MIN_BATCH_VS_SINGLES
+
+
+def _us_per_request(run, requests: int) -> tuple[float, list[float]]:
+    """Median and every round's µs per request of ``run()`` (one warm round first)."""
+    run()
+    rounds = []
+    for _ in range(LAYER_ROUNDS):
+        started = time.perf_counter()
+        run()
+        rounds.append((time.perf_counter() - started) / requests * 1e6)
+    return statistics.median(rounds), rounds
+
+
+def test_bench_site_request_layers(history, hostnames):
+    """µs per GET /site: the request core in process, and the transport alone."""
+    core = RequestCore(SnapshotRegistry(history))
+    targets = [f"/site?host={host}" for host in hostnames[:LAYER_REQUESTS]]
+
+    def core_round() -> None:
+        for target in targets:
+            core.handle(Request("GET", target)).encoded()
+
+    core_us, core_rounds = _us_per_request(core_round, len(targets))
+
+    # The transport over an in-memory stream: a stub core answers every
+    # request with one fixed /site body, and the writes are dropped.
+    body = core.handle(Request("GET", targets[0])).encoded()
+    stub = SimpleNamespace(handle=lambda request: Response(200, body))
+    wire = b"".join(
+        b"GET %s HTTP/1.1\r\nHost: 127.0.0.1:8080\r\n\r\n" % target.encode()
+        for target in targets
+    )
+    handler = object.__new__(_Handler)
+    handler.server = SimpleNamespace(
+        core=stub, quiet=True, _date_line=lambda: b"Date: Thu, 01 Jan 2026 00:00:00 GMT\r\n"
+    )
+    handler.connection = SimpleNamespace(sendall=lambda data: None)
+
+    def transport_round() -> None:
+        handler.rfile = io.BytesIO(wire)
+        while handler._exchange():
+            pass
+
+    transport_us, transport_rounds = _us_per_request(transport_round, len(targets))
+    lines = [
+        f"GET /site, {len(targets)} requests x {LAYER_ROUNDS} rounds (median; every round)",
+        f"RequestCore.handle + encoded: {core_us:6.2f} µs/request   "
+        + " ".join(f"{value:.2f}" for value in core_rounds),
+        f"_Handler._exchange, stub core: {transport_us:6.2f} µs/request   "
+        + " ".join(f"{value:.2f}" for value in transport_rounds),
+    ]
+    print()
+    for line in lines:
+        print("  " + line)
+    save_artifact("bench_perf_serve_layers.txt", "\n".join(lines) + "\n")
+    assert core.requests_total.value(endpoint="/site", status="200") == (
+        len(targets) * (LAYER_ROUNDS + 1) + 1
+    )
 
 
 # ---------------------------------------------------------------------------

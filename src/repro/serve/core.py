@@ -34,9 +34,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qsl, urlsplit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (update -> serve)
     from repro.update.watcher import Watcher
@@ -92,14 +92,35 @@ class Request:
     target: str  # path plus query string, as the transport received it
     content_length: int = 0
     read: Callable[[int], bytes] = lambda n: b""
+    #: The path without trailing slashes (``"/"`` for the root).
+    endpoint: str = field(init=False)
+    _query: str = field(init=False, repr=False)
 
-    @property
-    def endpoint(self) -> str:
-        return urlsplit(self.target).path.rstrip("/") or "/"
+    def __post_init__(self) -> None:
+        """Split the target once.
+
+        An origin-form target (``/path?query``) is partitioned at its
+        first ``?``.  Anything :func:`~urllib.parse.urlsplit` would read
+        differently — a ``//`` authority, an absolute URL, a ``#``
+        fragment, or a tab or line break it strips — goes through
+        ``urlsplit`` itself, so both routes agree; ``urlsplit`` raises
+        :class:`ValueError` on a target it cannot split (an unbalanced
+        ``[`` in the authority).
+        """
+        target = self.target
+        if (
+            target[:1] == "/" and target[1:2] != "/"
+            and "#" not in target and target.isprintable()
+        ):
+            path, _, self._query = target.partition("?")
+        else:
+            parts = urlsplit(target)
+            path, self._query = parts.path, parts.query
+        self.endpoint = path.rstrip("/") or "/"
 
     def query(self) -> dict[str, str]:
-        raw = parse_qs(urlsplit(self.target).query)
-        return {key: values[-1] for key, values in raw.items()}
+        """The query parameters; a repeated name keeps its last value."""
+        return dict(parse_qsl(self._query)) if self._query else {}
 
 
 @dataclass(slots=True)
@@ -118,6 +139,39 @@ class Response:
         if isinstance(self.payload, bytes):
             return self.payload
         return json.dumps(self.payload).encode("utf-8")
+
+
+class AdmissionGate:
+    """At most ``limit`` gated requests in flight: one lock over one count.
+
+    :meth:`acquire` and :meth:`release` keep the non-blocking half of
+    the ``threading.Semaphore`` surface, so a caller (a test filling
+    the gate) can hold slots by hand; :attr:`inflight` counts every
+    slot taken.
+    """
+
+    __slots__ = ("limit", "inflight", "_lock")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.inflight = 0
+        self._lock = threading.Lock()
+
+    def acquire(self, blocking: bool = False) -> bool:
+        """Take a slot if one is free; never waits."""
+        if blocking:
+            raise ValueError("the admission gate never blocks")
+        with self._lock:
+            if self.inflight >= self.limit:
+                return False
+            self.inflight += 1
+        return True
+
+    def release(self) -> None:
+        with self._lock:
+            if not self.inflight:
+                raise ValueError("release without a matching acquire")
+            self.inflight -= 1
 
 
 class LocalEpochs:
@@ -181,7 +235,7 @@ class RequestCore:
         self.registry = registry
         self.engine = engine if engine is not None else QueryEngine(registry)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.gate = threading.Semaphore(max_inflight)
+        self.gate = AdmissionGate(max_inflight)
         self.max_inflight = max_inflight
         self.epochs = epochs if epochs is not None else LocalEpochs(registry)
         self.worker_id = worker_id
@@ -189,8 +243,6 @@ class RequestCore:
         self.started_at = time.time()
         self.watcher: "Watcher | None" = None
         self.draining = False
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self._install_metrics()
 
     # -- metrics wiring ------------------------------------------------------
@@ -337,20 +389,7 @@ class RequestCore:
 
     @property
     def inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    def _enter(self) -> bool:
-        if not self.gate.acquire(blocking=False):
-            return False
-        with self._inflight_lock:
-            self._inflight += 1
-        return True
-
-    def _leave(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-        self.gate.release()
+        return self.gate.inflight
 
     # -- request handling ----------------------------------------------------
 
@@ -381,7 +420,7 @@ class RequestCore:
             return Response(status, error_body(kind, **detail))
 
         gated = endpoint not in self._UNGATED
-        if gated and not self._enter():
+        if gated and not self.gate.acquire():
             self.rejected_total.inc()
             self.requests_total.inc(endpoint=endpoint, status="503")
             return Response(
@@ -406,7 +445,7 @@ class RequestCore:
                 response = Response(500, error_body("internal"))
         finally:
             if gated:
-                self._leave()
+                self.gate.release()
         self.requests_total.inc(endpoint=endpoint, status=str(response.status))
         self.latency.observe(time.perf_counter() - started, endpoint=endpoint)
         return response
@@ -447,25 +486,25 @@ class RequestCore:
     def _get_site(self, request: Request) -> Response:
         query = request.query()
         host = self._required(query, "host")
-        answer = self.engine.site(host, version=query.get("version"))
+        body = self.engine.site(host, version=query.get("version")).encoded()
         self.lookups_total.inc()
-        return Response(200, answer.to_json())
+        return Response(200, body)
 
     def _get_classify(self, request: Request) -> Response:
         query = request.query()
         page = self._required(query, "page")
         req = self._required(query, "request")
-        answer = self.engine.classify(page, req, version=query.get("version"))
+        body = self.engine.classify(page, req, version=query.get("version")).encoded()
         self.lookups_total.inc(2)
-        return Response(200, answer.to_json())
+        return Response(200, body)
 
     def _get_compare(self, request: Request) -> Response:
         query = request.query()
         host = self._required(query, "host")
         old = self._required(query, "old")
-        answer = self.engine.compare(host, old, query.get("new"))
+        body = self.engine.compare(host, old, query.get("new")).encoded()
         self.lookups_total.inc(2)
-        return Response(200, answer.to_json())
+        return Response(200, body)
 
     def _get_versions(self, request: Request) -> Response:
         raw = request.query().get("limit")

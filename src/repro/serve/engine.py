@@ -18,54 +18,80 @@ alike: :func:`repro.net.hostname.normalize_or_reject` once (the same
 gate the streaming ingest path uses; anything it refuses surfaces as a
 structured :class:`~repro.net.errors.HostnameError`, the HTTP layer's
 400), then one :meth:`PublicSuffixList.lookup` — an IDNA conversion
-and a trie walk returning a plain tuple.  A batch keeps those tuples
-as its rows and writes its wire body straight from them
-(:meth:`BatchAnswer.encoded`); answer objects are built only for
-Python callers that read them.  Nothing is memoised per hostname: a
-whole ``/batch`` costs about 5–7 µs per host in process (normalize,
-walk and encode; the walk alone 2–3 µs), and with no cache a
-hot-swap never has anything to invalidate.
+and a trie walk returning a plain tuple.  Every answer keeps those
+tuples as its rows and writes its wire body straight from them through
+one ``%`` template per version (:func:`_row_templates`): a
+:class:`SiteAnswer` is a named tuple of the row plus its version, and
+a batch is a list of rows, wrapped as objects only for Python callers
+that read them.  Nothing is memoised per hostname: a whole ``/batch``
+costs about 5–7 µs per host in process (normalize, walk and encode;
+the walk alone 2–3 µs), and with no cache a hot-swap never has
+anything to invalidate.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.net.errors import HostnameError
 from repro.net.hostname import normalize_or_reject
 from repro.serve.snapshots import PslSnapshot, SnapshotRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class SiteAnswer:
-    """The serving-shape result of one hostname lookup."""
+@functools.lru_cache(maxsize=256)
+def _row_templates(version_index: int, version_date: datetime.date) -> tuple[str, str]:
+    """The ``(domain, suffix)`` row templates of one version's answers.
+
+    A row is ``json.dumps(SiteAnswer.to_json())`` byte for byte.  The
+    domain template takes ``(hostname, site, public_suffix,
+    registrable_domain)``, the suffix template ``(hostname, site,
+    public_suffix)``.  Splicing the names in unescaped is sound because
+    the hostname gate admits only names whose A-label form is
+    ``[a-z0-9_.-]``.  Cached per version: a version's tail is formatted
+    once, not once per answer.
+    """
+    tail = ', "version": %d, "version_date": "%s"}' % (version_index, version_date.isoformat())
+    return (
+        '{"hostname": "%s", "site": "%s", "public_suffix": "%s", '
+        '"registrable_domain": "%s", "is_public_suffix": false' + tail,
+        '{"hostname": "%s", "site": "%s", "public_suffix": "%s", '
+        '"registrable_domain": null, "is_public_suffix": true' + tail,
+    )
+
+
+class SiteAnswer(NamedTuple):
+    """The serving-shape result of one hostname lookup.
+
+    The first three fields of the :meth:`PublicSuffixList.lookup` row
+    it was answered from, plus the version that answered;
+    :meth:`encoded` writes the wire body straight from them.
+    """
 
     hostname: str
-    site: str
     public_suffix: str
     registrable_domain: str | None
-    is_public_suffix: bool
     version_index: int
     version_date: datetime.date
 
-    @classmethod
-    def from_lookup(
-        cls, row: tuple, version_index: int, version_date: datetime.date
-    ) -> "SiteAnswer":
-        """Build from a :meth:`PublicSuffixList.lookup` row."""
-        name, suffix, registrable = row[0], row[1], row[2]
-        return cls(
-            hostname=name,
-            site=registrable or suffix,
-            public_suffix=suffix,
-            registrable_domain=registrable,
-            is_public_suffix=registrable is None,
-            version_index=version_index,
-            version_date=version_date,
-        )
+    @property
+    def site(self) -> str:
+        return self.registrable_domain or self.public_suffix
+
+    @property
+    def is_public_suffix(self) -> bool:
+        return self.registrable_domain is None
+
+    def encoded(self) -> bytes:
+        """The ``/site`` body: ``json.dumps(self.to_json())``, byte for byte."""
+        name, suffix, registrable, index, date = self
+        domain_row, suffix_row = _row_templates(index, date)
+        if registrable is None:
+            return (suffix_row % (name, suffix, suffix)).encode()
+        return (domain_row % (name, registrable, suffix, registrable)).encode()
 
     def to_json(self) -> dict:
         return {
@@ -96,9 +122,9 @@ class BatchAnswer:
     Rows stay as the compact tuples the lookup walk produced: a
     :meth:`PublicSuffixList.lookup` row per answered hostname, a
     ``(hostname, reason)`` pair per rejected one.  :attr:`answers`
-    builds :class:`SiteAnswer` / :class:`BatchItemError` objects only
-    when a Python caller reads it; :meth:`encoded` writes the wire body
-    straight from the rows.
+    wraps them as :class:`SiteAnswer` / :class:`BatchItemError` objects
+    only when a Python caller reads it; :meth:`encoded` writes the wire
+    body straight from the rows.
     """
 
     __slots__ = ("version_index", "version_date", "_rows", "_answers")
@@ -114,7 +140,7 @@ class BatchAnswer:
         if self._answers is None:
             index, date = self.version_index, self.version_date
             self._answers = tuple(
-                BatchItemError(*row) if len(row) == 2 else SiteAnswer.from_lookup(row, index, date)
+                BatchItemError(*row) if len(row) == 2 else SiteAnswer(*row[:3], index, date)
                 for row in self._rows
             )
         return self._answers
@@ -139,22 +165,12 @@ class BatchAnswer:
     def encoded(self) -> bytes:
         """The ``/batch`` body: ``json.dumps(self.to_json())``, byte for byte.
 
-        The version tail is formatted once and each answered row goes
-        through one ``%`` template.  Splicing the names in unescaped is
-        sound because the hostname gate admits only names whose A-label
-        form is ``[a-z0-9_.-]``; rejected rows echo raw input and go
-        through :func:`json.dumps`.
+        Each answered row goes through the version's :func:`_row_templates`
+        (the same rows :meth:`SiteAnswer.encoded` writes); rejected rows
+        echo raw input and go through :func:`json.dumps`.
         """
         version, date = self.version_index, self.version_date.isoformat()
-        tail = ', "version": %d, "version_date": "%s"}' % (version, date)
-        domain_row = (
-            '{"hostname": "%s", "site": "%s", "public_suffix": "%s", '
-            '"registrable_domain": "%s", "is_public_suffix": false' + tail
-        )
-        suffix_row = (
-            '{"hostname": "%s", "site": "%s", "public_suffix": "%s", '
-            '"registrable_domain": null, "is_public_suffix": true' + tail
-        )
+        domain_row, suffix_row = _row_templates(self.version_index, self.version_date)
         parts = []
         errors = 0
         for row in self._rows:
@@ -189,6 +205,13 @@ class ClassifyAnswer:
             "version": self.page.version_index,
         }
 
+    def encoded(self) -> bytes:
+        """The ``/classify`` body: ``json.dumps(self.to_json())``, byte for byte."""
+        return b'{"page": %s, "request": %s, "third_party": %s, "version": %d}' % (
+            self.page.encoded(), self.request.encoded(),
+            b"true" if self.third_party else b"false", self.page.version_index,
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class CompareAnswer:
@@ -216,6 +239,17 @@ class CompareAnswer:
             "diverges": self.diverges,
         }
 
+    def encoded(self) -> bytes:
+        """The ``/compare`` body: ``json.dumps(self.to_json())``, byte for byte.
+
+        ``hostname`` is the normalized input, which may hold U-labels,
+        so it alone goes through :func:`json.dumps`.
+        """
+        return b'{"hostname": %s, "old": %s, "new": %s, "diverges": %s}' % (
+            json.dumps(self.hostname).encode(), self.old.encoded(), self.new.encoded(),
+            b"true" if self.diverges else b"false",
+        )
+
 
 class QueryEngine:
     """Concurrent PSL queries over a :class:`SnapshotRegistry`."""
@@ -238,7 +272,8 @@ class QueryEngine:
     @staticmethod
     def _answer(snapshot: PslSnapshot, name: str) -> SiteAnswer:
         """One already-normalized name's answer under ``snapshot``."""
-        return SiteAnswer.from_lookup(snapshot.psl.lookup(name), snapshot.index, snapshot.date)
+        ascii_name, suffix, registrable, _ = snapshot.psl.lookup(name)
+        return SiteAnswer(ascii_name, suffix, registrable, snapshot.index, snapshot.date)
 
     # -- the query surface ---------------------------------------------------
 

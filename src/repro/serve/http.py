@@ -33,9 +33,11 @@ What stays transport-level here:
   ``MAX_BODY_BYTES``, in bounded chunks), so an unread body never
   becomes the next request.  A request it cannot frame (any
   ``Transfer-Encoding``, a bad or conflicting ``Content-Length``, an
-  over-long line, a malformed request line, a method other than
-  GET/POST) is answered and the connection closed; so is every
-  ``>= 400`` response, since an errored request may leave bytes unread.
+  over-long line, a malformed request line or target, a header line
+  with whitespace before its colon or folded onto the line before, a
+  method other than GET/POST) is answered and the connection closed;
+  so is every ``>= 400`` response, since an errored request may leave
+  bytes unread.
 * **shutdown** — :meth:`PslServer.drain` is the graceful path: flip
   ``/healthz`` to ``draining`` (503), stop the update watcher, stop
   accepting connections, let in-flight requests finish under a bounded
@@ -66,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (update -> serve)
 
 from repro.serve.core import (
     DEFAULT_MAX_INFLIGHT,
+    AdmissionGate,
     MAX_BATCH_HOSTNAMES,
     MAX_BODY_BYTES,
     Request,
@@ -98,6 +101,8 @@ MAX_LINE = 65536
 MAX_HEADERS = 100
 
 _FRAMING = frozenset({b"content-length", b"connection", b"expect", b"transfer-encoding"})
+#: What ``bytes.strip`` removes; none of it may open or close a field name.
+_SPACE = b" \t\r\n\x0b\x0c"
 _STATUS_LINES = {
     status.value: b"HTTP/1.1 %d %s\r\n" % (status.value, status.phrase.encode("ascii"))
     for status in HTTPStatus
@@ -182,7 +187,7 @@ class PslServer(socketserver.ThreadingTCPServer):
         return self.core.engine
 
     @property
-    def gate(self) -> threading.Semaphore:
+    def gate(self) -> AdmissionGate:
         return self.core.gate
 
     @property
@@ -293,9 +298,14 @@ class _Handler(socketserver.StreamRequestHandler):
             if len(line) > MAX_LINE or count == MAX_HEADERS:
                 return self._refuse(431, "headers_too_large", limit_lines=MAX_HEADERS)
             name, colon, value = line.partition(b":")
-            if not colon:
+            # RFC 9112 §5.1/§5.2: whitespace before the colon, or a line
+            # opening with SP/HT (obs-fold), is refused, never trimmed: a
+            # proxy may read such a line differently, and where the body
+            # ends must not be in doubt.  (``b"" in _SPACE`` holds, so an
+            # empty name is refused too.)
+            if not colon or name[:1] in _SPACE or name[-1:] in _SPACE:
                 return self._refuse(400, "malformed_header")
-            name = name.strip().lower()
+            name = name.lower()
             if name in _FRAMING:
                 fields.setdefault(name, []).append(value.strip())
         if method not in (b"GET", b"POST"):
@@ -331,9 +341,11 @@ class _Handler(socketserver.StreamRequestHandler):
             remaining -= len(data)
             return data
 
-        response = self.server.core.handle(
-            Request(method.decode("ascii"), target.decode("latin-1"), length, read)
-        )
+        try:
+            request = Request(method.decode("ascii"), target.decode("latin-1"), length, read)
+        except ValueError:  # a target urlsplit cannot split
+            return self._refuse(400, "malformed_request_target")
+        response = self.server.core.handle(request)
         if not self.server.quiet:  # pragma: no cover - debug aid
             request_line = b" ".join(parts).decode("latin-1")
             print(f'{self.client_address[0]} "{request_line}" {response.status}', file=sys.stderr)

@@ -9,13 +9,17 @@ shape, admission, and epoch contracts are pinned here once.
 from __future__ import annotations
 
 import json
-from urllib.parse import urlencode
+import sys
+import threading
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve.core import (
     MAX_BATCH_HOSTNAMES,
     MAX_BODY_BYTES,
+    AdmissionGate,
     Request,
     RequestCore,
     Response,
@@ -50,7 +54,7 @@ class TestRouting:
         core = make_core()
         response = get(core, "/site?host=www.example.co.uk")
         assert response.status == 200
-        assert response.payload["site"] == "example.co.uk"
+        assert json.loads(response.encoded())["site"] == "example.co.uk"
 
     def test_trailing_slash_is_same_endpoint(self):
         core = make_core()
@@ -152,6 +156,58 @@ class TestAdmission:
         get(core, "/site?host=a.example.com")
         assert core.requests_total.value(endpoint="/site", status="200") == 1
         assert core.lookups_total.total() == 1
+
+    def test_gate_counts_slots_and_never_blocks(self):
+        gate = AdmissionGate(2)
+        assert gate.acquire() and gate.acquire(blocking=False)
+        assert not gate.acquire() and gate.inflight == 2
+        with pytest.raises(ValueError):
+            gate.acquire(blocking=True)
+        gate.release()
+        gate.release()
+        assert gate.inflight == 0
+        with pytest.raises(ValueError):
+            gate.release()
+
+    def test_concurrent_requests_lose_no_count(self):
+        """More threads than cores, switching every few µs: the gate, the
+        counters and the histogram must each see every request."""
+        threads, per_thread, limit = 8, 150, 3
+        core = make_core(max_inflight=limit)
+        peak = [0]
+        real_site = core.engine.site
+
+        def site(*args, **kwargs):
+            peak[0] = max(peak[0], core.inflight)
+            return real_site(*args, **kwargs)
+
+        core.engine.site = site  # type: ignore[method-assign]
+        statuses: list[int] = []
+
+        def client() -> None:
+            for _ in range(per_thread):
+                statuses.append(get(core, "/site?host=www.example.co.uk").status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=client) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(statuses) == threads * per_thread
+        ok, shed = statuses.count(200), statuses.count(503)
+        assert ok + shed == len(statuses) and ok > 0
+        assert core.inflight == 0 and 1 <= peak[0] <= limit
+        assert core.requests_total.value(endpoint="/site", status="200") == ok
+        assert core.requests_total.value(endpoint="/site", status="503") == shed
+        assert core.rejected_total.total() == shed
+        assert core.lookups_total.total() == ok
+        assert core.latency.count(endpoint="/site") == ok
 
 
 class TestEpochs:
@@ -279,3 +335,70 @@ class TestValidation:
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))
+
+
+# -- the single target split, against the urlsplit / parse_qs reference -------
+
+QUERY_TEXT = st.lists(
+    st.sampled_from(list("aHz09-._~ /:@!$'()*,;ü点+?=\t%") + ["%2", "%41", "%zz", "%2B"]),
+    max_size=6,
+).map("".join)
+PAIR = st.tuples(
+    st.one_of(st.sampled_from(["host", "version", "a", ""]), QUERY_TEXT),
+    st.sampled_from(["=", ""]),
+    st.one_of(st.just(""), QUERY_TEXT),
+).map("".join)
+QUERY = st.one_of(
+    st.just(""), st.just("?"), st.lists(PAIR, max_size=5).map(lambda pairs: "?" + "&".join(pairs))
+)
+PATH = st.lists(
+    st.sampled_from(["site", "batch", "", "a%2Fb", "x:y", "ü", "a;b", ".."]), max_size=3
+).map(lambda parts: "/" + "/".join(parts))
+PREFIX = st.sampled_from([
+    "", "", "", "//host", "//h.example:8080", "http://h.example", "HTTP://h", "https://[::1]:80",
+    "//[::1", "site", "mailto:", " ", "\x01", "\t",
+])
+FRAGMENT = st.sampled_from(["", "", "#", "#frag", "#f?x=1"])
+TARGET = st.one_of(
+    st.builds(lambda *parts: "".join(parts), PREFIX, PATH, QUERY, FRAGMENT),
+    st.text(max_size=24),
+)
+
+
+def reference_split(target: str) -> tuple[str, dict[str, str]]:
+    parts = urlsplit(target)
+    query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
+    return parts.path.rstrip("/") or "/", query
+
+
+class TestTargetSplit:
+    @settings(max_examples=400, deadline=None)
+    @given(target=TARGET)
+    def test_endpoint_and_query_equal_the_urlsplit_reference(self, target):
+        try:
+            expected = reference_split(target)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Request("GET", target)
+            return
+        request = Request("GET", target)
+        assert (request.endpoint, request.query()) == expected
+
+    @pytest.mark.parametrize("target, endpoint, query", [
+        ("/site?host=a.com&host=b.com", "/site", {"host": "b.com"}),
+        ("/site?host=&version=2", "/site", {"version": "2"}),
+        ("/site?", "/site", {}),
+        ("/site?host=a%2Eb+c", "/site", {"host": "a.b c"}),
+        ("//evil/site?host=a.com", "/site", {"host": "a.com"}),
+        ("/site#x?host=a.com", "/site", {}),
+        ("http://h.example/site/?host=a.com", "/site", {"host": "a.com"}),
+        ("/site?host=a.\tcom", "/site", {"host": "a.com"}),
+        ("/si\r\nte/?host=a.com", "/site", {"host": "a.com"}),
+        ("/site?host=a\x01b", "/site", {"host": "a\x01b"}),
+        ("/", "/", {}),
+        ("", "/", {}),
+    ])
+    def test_fixed_targets(self, target, endpoint, query):
+        request = Request("GET", target)
+        assert (request.endpoint, request.query()) == (endpoint, query)
+        assert reference_split(target) == (endpoint, query)

@@ -615,6 +615,28 @@ class TestFramingRefusals:
     def test_malformed_request_line_is_400(self, server, line):
         self.refused(server, line + b"\r\n", 400, "malformed_request_line")
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"Content-Length : 5", b"Content-Length\t: 5", b" Content-Length: 5",
+         b"\tContent-Length: 5", b"X-Pad : 1", b": 5"],
+    )
+    def test_space_before_colon_or_folded_header_is_400(self, server, header):
+        """RFC 9112 §5.1/§5.2: such a line is refused, never framed.
+
+        Regression: the first three framed a 5-byte body and answered 200.
+        """
+        raw = b"POST /batch HTTP/1.1\r\nHost: t\r\n" + header + b"\r\n\r\n12345"
+        self.refused(server, raw, 400, "malformed_header")
+
+    def test_folded_continuation_line_is_400(self, server):
+        raw = b"GET /healthz HTTP/1.1\r\nX-Long: a\r\n  b: c\r\n\r\n"
+        self.refused(server, raw, 400, "malformed_header")
+
+    def test_target_urlsplit_cannot_split_is_400(self, server):
+        """Regression: the ValueError escaped the loop and the peer got no answer."""
+        self.refused(server, b"GET //[::1/site?host=a.com HTTP/1.1\r\n\r\n", 400,
+                     "malformed_request_target")
+
     @pytest.mark.parametrize("method", [b"HEAD", b"PUT", b"DELETE"])
     def test_other_methods_are_501(self, server, method):
         body = self.refused(server, method + b" /site?host=a.com HTTP/1.1\r\n\r\n", 501,
