@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -126,3 +128,36 @@ class TestContent:
         config = RequestLogConfig(scale=1000.0)  # one billion records
         first = list(itertools.islice(iter_records(config), 10))
         assert len(first) == 10
+
+
+def records_digest(config: RequestLogConfig) -> str:
+    """SHA-256 over the stream, one JSON ``[page, request]`` per record."""
+    digest = hashlib.sha256()
+    for page, request in iter_records(config):
+        digest.update(json.dumps([page, request]).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedStreams:
+    """The generator's exact output, pinned by digest.
+
+    Every RNG draw and its order are part of the stream's identity (the
+    benchmark's row digests and every resumed run rest on it), so any
+    rewrite of the generator's inner loop must reproduce these bytes.
+    """
+
+    def test_default_config(self):
+        assert records_digest(RequestLogConfig(records=65536)) == (
+            "9f371b71e025e9ede8cd06a181a76525b1e269c48951a7b6c155f1dc11e19286"
+        )
+
+    def test_malformed_heavy_short_blocks(self):
+        config = RequestLogConfig(records=65536, malformed_rate=0.2, block_size=1000)
+        assert records_digest(config) == (
+            "d21dc3d2f992a011de8ad35dd255f847ff9fe0d79bcbb3122c16348c92a25f61"
+        )
+
+    def test_small_scale_universe(self):
+        assert records_digest(RequestLogConfig(scale=0.01)) == (
+            "862456655ab4ea10aae2bb5e504dec795dcc3daaf5922824c8db8e4ddbedda17"
+        )
