@@ -19,21 +19,35 @@ shrinks the log so ``make check`` can run the same contracts in
 seconds; the full gate is ``make bench-classify``.  Numbers are
 persisted to ``benchmarks/artifacts/perf_classify.txt`` and summarized
 in EXPERIMENTS.md.
+
+``test_bench_classify_record_layers`` (no gate) splits one in-process
+job of the repository benchmark's classify-bulk shape (262,144 records,
+101 versions) into µs per record for generation, ingest, walk + flip,
+and spill + merge, written to
+``benchmarks/artifacts/perf_classify_layers.txt``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 
 import pytest
 
+import repro.classify.columnar as columnar
+import repro.classify.engine as engine_module
+import repro.classify.partials as partials
 from benchmarks.conftest import BENCH_SEED, save_artifact
+from repro.classify import ClassifyEngine, select_version_indexes
+from repro.classify.columnar import SyntheticChunkRef
+from repro.classify.partials import classify_chunk
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.psl.packed import pack_history
+from repro.webgraph.requestlog import RequestLogConfig, iter_block
 
 pytestmark = pytest.mark.bench
 
@@ -50,9 +64,14 @@ RESUME_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
-def packed_path(tmp_path_factory):
+def history_store():
+    return synthesize_history(SynthesisConfig(seed=BENCH_SEED))
+
+
+@pytest.fixture(scope="module")
+def packed_path(history_store, tmp_path_factory):
     """A cheap-to-pack cross-section of the synthesized history."""
-    store = synthesize_history(SynthesisConfig(seed=BENCH_SEED))
+    store = history_store
     subset = sorted(set(range(0, len(store), 120)) | {len(store) - 1})
     path = tmp_path_factory.mktemp("packed") / "packed.bin"
     path.write_bytes(pack_history(store, indexes=subset))
@@ -129,3 +148,96 @@ def test_bench_classify_throughput_memory_and_resume(packed_path, tmp_path):
             f"warm resume only {cold_wall / warm_wall:.1f}x faster than cold "
             f"({warm_wall:.2f}s vs {cold_wall:.2f}s)"
         )
+
+
+#: The repository benchmark's classify-bulk job: one chunk of four
+#: generation blocks under 101 evenly spaced versions.
+LAYER_RECORDS = 4 * 65536
+LAYER_VERSIONS = 101
+LAYER_ROUNDS = 3 if SMOKE else 7
+
+
+class _Stopwatch:
+    """CPU seconds spent inside the wrapped calls, per layer."""
+
+    def __init__(self) -> None:
+        self.spent: dict[str, float] = {}
+
+    def wrap(self, name, function):
+        def timed(*args, **kwargs):
+            started = time.process_time()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.spent[name] = self.spent.get(name, 0.0) + time.process_time() - started
+
+        return timed
+
+
+def test_bench_classify_record_layers(history_store, tmp_path, monkeypatch):
+    """CPU µs per record of one classify-bulk-shaped job, layer by layer.
+
+    Every layer is timed inside the same job, so the four add up to it:
+
+    * generation — each block's ``iter_block`` records, drawn into a
+      list before ingest consumes them;
+    * ingest — ``SyntheticChunkRef.load`` minus generation;
+    * walk + flip — ``classify_chunk`` minus the load and its spill
+      writes;
+    * spill + merge — the rest of the job: spill writes, the runtime's
+      checkpointing, spill reads and the merge.
+    """
+    indexes = select_version_indexes(len(history_store), LAYER_VERSIONS)
+    path = tmp_path / "packed.bin"
+    path.write_bytes(pack_history(history_store, indexes=list(indexes)))
+    engine = ClassifyEngine(
+        str(path), version_indexes=range(len(indexes)), workers=1, run_dir=str(tmp_path / "run")
+    )
+    config = RequestLogConfig(seed=BENCH_SEED, records=LAYER_RECORDS)
+    first = engine.run_synthetic(config)  # builds the version axis, untimed
+
+    watch = _Stopwatch()
+    monkeypatch.setattr(
+        columnar, "iter_block", watch.wrap("generation", lambda *args: iter(list(iter_block(*args))))
+    )
+    monkeypatch.setattr(SyntheticChunkRef, "load", watch.wrap("load", SyntheticChunkRef.load))
+    monkeypatch.setattr(engine_module, "classify_chunk", watch.wrap("classify", classify_chunk))
+    writer = partials.SpillWriter
+    monkeypatch.setattr(writer, "add", watch.wrap("spill", writer.add))
+    monkeypatch.setattr(writer, "finish", watch.wrap("spill", writer.finish))
+
+    samples: dict[str, list[float]] = {
+        "generation": [], "ingest": [], "walk + flip": [], "spill + merge": [], "job": []
+    }
+    per_record = 1e6 / LAYER_RECORDS
+    for _ in range(LAYER_ROUNDS):
+        watch.spent.clear()
+        started = time.process_time()
+        result = engine.run_synthetic(config)
+        job = time.process_time() - started
+        assert result.rows == first.rows
+        spent = watch.spent
+        layers = {
+            "generation": spent["generation"],
+            "ingest": spent["load"] - spent["generation"],
+            "walk + flip": spent["classify"] - spent["load"] - spent["spill"],
+            "spill + merge": job - spent["classify"] + spent["spill"],
+            "job": job,
+        }
+        for name, seconds in layers.items():
+            samples[name].append(seconds * per_record)
+
+    lines = [
+        f"classify-bulk job shape: {LAYER_RECORDS:,} records, {len(engine.version_indexes)} "
+        f"versions, {first.rows[0].sites.hostnames:,} valid endpoints; CPU µs/record, "
+        f"median of {LAYER_ROUNDS} jobs (every job)",
+        *(
+            f"{name:14s} {statistics.median(values):6.3f}   "
+            + " ".join(f"{value:.3f}" for value in values)
+            for name, values in samples.items()
+        ),
+    ]
+    print()
+    for line in lines:
+        print("  " + line)
+    save_artifact("perf_classify_layers.txt", "\n".join(lines))

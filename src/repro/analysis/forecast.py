@@ -12,21 +12,27 @@ Fits are evaluated by holdout: train on the history's first 80%,
 score on the rest.  The logistic model's holdout error on the
 synthetic history is a few percent; the linear baseline's is worse —
 mirroring the real list's visible saturation.
+
+numpy and scipy are imported inside the functions that use them, so
+importing this module costs neither.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import curve_fit
+from typing import TYPE_CHECKING
 
 from repro.history.store import VersionStore
 from repro.history.timeline import growth_series
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _logistic(t: np.ndarray, capacity: float, midpoint: float, rate: float) -> np.ndarray:
+    import numpy as np
+
     return capacity / (1.0 + np.exp(-rate * (t - midpoint)))
 
 
@@ -42,12 +48,16 @@ class GrowthFit:
         """Predicted rule count ``days_since_start`` after the first version."""
         if self.model == "logistic":
             capacity, midpoint, rate = self.parameters
+            import numpy as np
+
             return float(_logistic(np.asarray([days_since_start]), capacity, midpoint, rate)[0])
         slope, intercept = self.parameters
         return slope * days_since_start + intercept
 
 
 def _series(store: VersionStore) -> tuple[np.ndarray, np.ndarray, datetime.date]:
+    import numpy as np
+
     points = growth_series(store)
     start = points[0].date
     days = np.asarray([(point.date - start).days for point in points], dtype=np.float64)
@@ -59,6 +69,9 @@ def fit_growth(store: VersionStore, *, train_fraction: float = 0.8) -> dict[str,
     """Fit logistic and linear models; returns both with holdout errors."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
+    import numpy as np
+    from scipy.optimize import curve_fit
+
     days, totals, _ = _series(store)
     split = max(2, int(len(days) * train_fraction))
     train_days, train_totals = days[:split], totals[:split]
@@ -94,6 +107,8 @@ def fit_growth(store: VersionStore, *, train_fraction: float = 0.8) -> dict[str,
 def _mape(actual: np.ndarray, predicted: np.ndarray) -> float:
     if actual.size == 0:
         return 0.0
+    import numpy as np
+
     return float(np.mean(np.abs((predicted - actual) / actual)))
 
 

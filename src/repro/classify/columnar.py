@@ -87,7 +87,10 @@ def columnar_chunk(index: int, records: Iterable[tuple[str, str]]) -> ColumnarCh
 
     Normalization results are memoized per raw string for the chunk's
     lifetime, so Zipf-repeated hosts pay :func:`normalize_or_reject`
-    once, not once per occurrence.
+    once, not once per occurrence.  The loop runs once per record, so a
+    memo hit is one inlined dict lookup; only a miss takes the slow path
+    (type check, normalize, intern).  A non-``str`` endpoint, hashable
+    or not, is malformed.
     """
     host_index: dict[str, int] = {}
     hosts: list[str] = []
@@ -100,36 +103,47 @@ def columnar_chunk(index: int, records: Iterable[tuple[str, str]]) -> ColumnarCh
     # normalization and the intern lookup for repeated raw spellings.
     memo: dict[str, int] = {}
 
-    def intern(raw: str) -> int:
-        slot = memo.get(raw)
-        if slot is None:
-            try:
-                name = normalize_or_reject(raw)
-            except HostnameError:
-                slot = -1
-            else:
-                slot = host_index.get(name)
-                if slot is None:
-                    slot = len(hosts)
-                    host_index[name] = slot
-                    hosts.append(name)
-                    occurrences.append(0)
-            memo[raw] = slot
+    def miss(raw: object) -> int:
+        if not isinstance(raw, str):
+            return -1
+        try:
+            name = normalize_or_reject(raw)
+        except HostnameError:
+            slot = -1
+        else:
+            slot = host_index.get(name)
+            if slot is None:
+                slot = host_index[name] = len(hosts)
+                hosts.append(name)
+                occurrences.append(0)
+        memo[raw] = slot
         return slot
 
+    lookup = memo.get
+    add_page = pages.append
+    add_request = requests.append
     for page, request in records:
-        p = intern(page) if isinstance(page, str) else -1
-        r = intern(request) if isinstance(request, str) else -1
+        try:
+            p = lookup(page)
+            r = lookup(request)
+        except TypeError:  # an unhashable endpoint, so not a str
+            p = r = None
+        if p is None:
+            p = miss(page)
+        if r is None:
+            r = miss(request)
+        if p >= 0 and r >= 0:
+            occurrences[p] += 1
+            occurrences[r] += 1
+            add_page(p)
+            add_request(r)
+            continue
+        skipped_pairs += 1
         for slot in (p, r):
             if slot < 0:
                 skipped_hosts += 1
             else:
                 occurrences[slot] += 1
-        if p < 0 or r < 0:
-            skipped_pairs += 1
-        else:
-            pages.append(p)
-            requests.append(r)
     return ColumnarChunk(
         index=index,
         hosts=tuple(hosts),

@@ -42,7 +42,7 @@ import pickle
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import BinaryIO
 
 from repro.classify.columnar import ColumnarChunk, SpooledChunkRef, SyntheticChunkRef
@@ -360,13 +360,15 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
         misclassified = [current_mis]
 
         # Host -> positions of the pairs it is in, for flipping hosts.
+        # ``compress`` picks the positions whose endpoint flips at C
+        # speed, so the Python loop runs per flipping endpoint, not per
+        # pair; positions are used as a set, so their order is free.
         pair_index: dict[int, list[int]] = {i: [] for i in set().union(*flips[1:])}
         if pair_index:
-            for position, (page, request) in enumerate(zip(pages, requests)):
-                if page in pair_index:
-                    pair_index[page].append(position)
-                if request in pair_index:
-                    pair_index[request].append(position)
+            flipping = pair_index.__contains__
+            for column in (pages, requests):
+                for position in compress(count(), map(flipping, column)):
+                    pair_index[column[position]].append(position)
         for changes in flips[1:]:
             for position in {p for i in changes for p in pair_index[i]}:
                 page, request = pages[position], requests[position]

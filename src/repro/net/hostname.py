@@ -105,7 +105,23 @@ def normalize_hostname(value: str) -> str:
     root dot, and validates the label structure.  Raises
     :class:`HostnameError` for anything a browser would refuse to put in
     the authority component.
+
+    A value that is already a valid lowercase ASCII name of at most 253
+    characters and does not end in a digit is its own normal form and
+    cannot be an IPv4 literal, so it returns after one regex match;
+    everything else takes the full path below.
     """
+    if (
+        len(value) <= MAX_HOSTNAME_LENGTH
+        and _ASCII_NAME_RE.fullmatch(value) is not None
+        and not value[-1].isdigit()
+    ):
+        return value
+    return _normalize_full(value)
+
+
+def _normalize_full(value: str) -> str:
+    """:func:`normalize_hostname` without its fast path: every check."""
     candidate = value.strip().lower()
     if candidate.endswith("."):
         candidate = candidate[:-1]

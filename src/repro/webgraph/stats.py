@@ -4,15 +4,16 @@ Measurement papers sanity-check their datasets before analyzing them;
 these are the summaries that would appear in a data-description
 section: hostname depth distribution, per-site size distribution with
 a Zipf-exponent fit, request fan-out, and suffix diversity.  Built on
-numpy for the percentile/fit arithmetic.
+numpy for the percentile/fit arithmetic, imported inside the functions
+that use it: :mod:`repro.webgraph` re-exports this module, so a
+module-scope import would load numpy into every process that touches
+the package (``psl-classify``'s request-log generator among them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from repro.webgraph.archive import Snapshot
 
@@ -32,6 +33,8 @@ class DistributionSummary:
     def from_values(cls, values: list[int]) -> "DistributionSummary":
         if not values:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0)
+        import numpy as np
+
         array = np.asarray(values, dtype=np.int64)
         return cls(
             count=int(array.size),
@@ -101,6 +104,8 @@ def site_size_fit(assignment: Mapping[str, str], *, head: int = 200) -> SiteSize
     exponent: float | None = None
     top = [size for size in sizes[:head] if size > 0]
     if len(top) >= 10 and top[0] > top[-1]:
+        import numpy as np
+
         ranks = np.arange(1, len(top) + 1, dtype=np.float64)
         slope, _ = np.polyfit(np.log(ranks), np.log(np.asarray(top, dtype=np.float64)), 1)
         exponent = float(slope)

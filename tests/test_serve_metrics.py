@@ -165,6 +165,41 @@ class TestHistogramBuckets:
         assert histogram.sum(endpoint="/batch") == 0.0
 
 
+class TestNonFiniteValues:
+    """NaN and infinities render as the exposition format spells them,
+    instead of raising in the formatter and dropping the metric."""
+
+    def test_nan_observation_keeps_the_histogram_with_a_nan_sum(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", "help", buckets=(1.0,))
+        histogram.observe(0.1)
+        histogram.observe(float("nan"))
+        assert histogram.render()[2:] == [
+            'h_bucket{le="1"} 1', 'h_bucket{le="+Inf"} 2', "h_sum NaN", "h_count 2",
+        ]
+        assert "h_sum NaN" in registry.render()
+
+    def test_positive_infinity_gauge_renders_plus_inf(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", "help").set(float("inf"))
+        assert "g +Inf" in registry.render().splitlines()
+
+    def test_negative_infinity_gauge_renders_minus_inf(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", "help", ("side",)).set(float("-inf"), side="left")
+        assert 'g{side="left"} -Inf' in registry.render().splitlines()
+
+    def test_nan_gauge_renders_nan(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", "help").set(float("nan"))
+        assert "g NaN" in registry.render().splitlines()
+
+    def test_infinite_histogram_sum_renders_plus_inf(self):
+        histogram = MetricsRegistry().histogram("h", "help", buckets=(1.0,))
+        histogram.observe(float("inf"))
+        assert histogram.render()[-2:] == ["h_sum +Inf", "h_count 1"]
+
+
 BAD_LABELS = [
     pytest.param({}, id="missing"),
     pytest.param({"endpoint": "/site"}, id="one-missing"),
