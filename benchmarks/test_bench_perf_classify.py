@@ -4,8 +4,8 @@ The acceptance bars for ``repro.classify``:
 
 * **throughput** — the single-worker engine sustains at least the
   recorded floor (records x versions per wall second) on a 1M-record
-  synthetic log classified under every version of a packed history
-  cross-section;
+  synthetic log classified under 11 evenly spaced versions of the world
+  history, read from a ``--cache-dir`` pipeline store;
 * **memory** — peak RSS of the whole classify process tree stays under
   a fixed cap: the engine streams chunks and merges spills version-at-
   a-time, so memory must not scale with records x versions;
@@ -42,10 +42,10 @@ import repro.classify.columnar as columnar
 import repro.classify.engine as engine_module
 import repro.classify.partials as partials
 from benchmarks.conftest import BENCH_SEED, save_artifact
+from repro.analysis.context import world_pipeline
 from repro.classify import ClassifyEngine, select_version_indexes
 from repro.classify.columnar import SyntheticChunkRef
 from repro.classify.partials import classify_chunk
-from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.psl.packed import pack_history
 from repro.webgraph.requestlog import RequestLogConfig, iter_block
 
@@ -63,22 +63,25 @@ PEAK_RSS_CAP_MB = 512.0
 RESUME_SPEEDUP = 3.0
 
 
-@pytest.fixture(scope="module")
-def history_store():
-    return synthesize_history(SynthesisConfig(seed=BENCH_SEED))
+#: Versions each probe classifies under: the size of the cross-section
+#: (every 120th version plus the latest) earlier probes read.
+VERSIONS = 11
 
 
 @pytest.fixture(scope="module")
-def packed_path(history_store, tmp_path_factory):
-    """A cheap-to-pack cross-section of the synthesized history."""
-    store = history_store
-    subset = sorted(set(range(0, len(store), 120)) | {len(store) - 1})
-    path = tmp_path_factory.mktemp("packed") / "packed.bin"
-    path.write_bytes(pack_history(store, indexes=subset))
-    return str(path)
+def cache_dir(tmp_path_factory):
+    """A pipeline store holding the world history, as ``--cache-dir`` reads it."""
+    path = str(tmp_path_factory.mktemp("cache"))
+    world_pipeline(BENCH_SEED, path).build("history")
+    return path
 
 
-def run_classify(packed_path: str, run_dir: str, stats_path: str, *extra: str) -> float:
+@pytest.fixture(scope="module")
+def history_store(cache_dir):
+    return world_pipeline(BENCH_SEED, cache_dir).build("history")
+
+
+def run_classify(cache_dir: str, run_dir: str, stats_path: str, *extra: str) -> float:
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(
         os.environ,
@@ -86,9 +89,10 @@ def run_classify(packed_path: str, run_dir: str, stats_path: str, *extra: str) -
     )
     command = [
         sys.executable, "-m", "repro.classify.cli",
-        "--packed", packed_path,
+        "--seed", str(BENCH_SEED),
+        "--cache-dir", cache_dir,
         "--records", str(RECORDS),
-        "--versions", "1000",  # i.e. every version in the cross-section
+        "--versions", str(VERSIONS),
         "--run-dir", run_dir,
         "--json", stats_path,
         "--quiet",
@@ -101,15 +105,15 @@ def run_classify(packed_path: str, run_dir: str, stats_path: str, *extra: str) -
     return wall
 
 
-def test_bench_classify_throughput_memory_and_resume(packed_path, tmp_path):
+def test_bench_classify_throughput_memory_and_resume(cache_dir, tmp_path):
     run_dir = str(tmp_path / "run")
     stats_path = str(tmp_path / "stats.json")
 
-    cold_wall = run_classify(packed_path, run_dir, stats_path)
+    cold_wall = run_classify(cache_dir, run_dir, stats_path)
     with open(stats_path, encoding="utf-8") as handle:
         cold = json.load(handle)
 
-    warm_wall = run_classify(packed_path, run_dir, stats_path, "--resume")
+    warm_wall = run_classify(cache_dir, run_dir, stats_path, "--resume")
     with open(stats_path, encoding="utf-8") as handle:
         warm = json.load(handle)
 

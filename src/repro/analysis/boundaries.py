@@ -10,10 +10,10 @@ One forward pass over the history drives all three figures at once:
   site under the newest version.
 
 The pass runs on :class:`repro.classify.ClassifyEngine` over the
-version store: each worker stamps the history's rule deltas into one
-interval trie per chunk and walks every hostname once, reading off the
-versions where its site changes, and the chunks can fan out over a
-process pool — that is what makes evaluating all 1,142 versions
+version store: the engine stamps the history's rule deltas into one
+interval trie, once per engine, and each chunk's worker walks every
+hostname once through it, reading off the versions where its site
+changes; the chunks can fan out over a process pool — that is what makes evaluating all 1,142 versions
 against hundreds of thousands of hostnames take seconds instead of
 hours.  The per-version ``diff_vs_latest`` record
 doubles as the lookup table for Table 3's "# of missing hostnames"

@@ -148,6 +148,9 @@ def world_stages(
         Stage(
             name="history",
             build=build_history,
+            # 2: each PslVersion carries its stamped SHA-256 fingerprint;
+            # re-keys stores holding pickles of versions without it.
+            version="2",
             params={"seed": seed},
         ),
         Stage(

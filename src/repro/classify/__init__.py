@@ -6,9 +6,9 @@ the reproduction: a batch engine that streams request logs in columnar
 chunks through multiprocess workers, classifying every record under a
 configurable set of PSL versions in one pass, and emitting per-version
 site and third-party count tables plus a misclassification delta
-versus the latest list.  The versions come from the packed ``PSLPAK1``
-history blob (:mod:`repro.psl.packed`), diffed once by the engine, or
-from a :class:`~repro.history.store.VersionStore`; either way the
+versus the latest list.  The versions come from a
+:class:`~repro.history.store.VersionStore` (or, for the classify-bulk
+benchmark harness only, a packed ``PSLPAK1`` blob path); either way the
 engine builds them once into one interval-stamped rule trie
 (:mod:`repro.psl.intervals`) that every worker task shares, walking
 each hostname once.  It is

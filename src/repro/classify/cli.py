@@ -3,11 +3,11 @@
 One invocation classifies a synthetic request-log stream (the
 deterministic generator in :mod:`repro.webgraph.requestlog`) under a
 set of evenly spaced PSL versions and prints the per-version table.
-The heavy input — the packed ``PSLPAK1`` history — is the pipeline's
-content-addressed ``packed`` artifact, in ``--cache-dir`` when given
-and in ``--run-dir``'s own store otherwise (packing the full history
-once costs ~85 s on this class of host; every later run verifies and
-maps the cached blob without loading it).
+The version source is the pipeline's content-addressed ``history``
+artifact (the :class:`~repro.history.store.VersionStore`, about
+1.1 MB pickled), in ``--cache-dir`` when given and in ``--run-dir``'s
+own store otherwise; a run directory reused under another seed gets
+that seed's history.
 
 Scale harness: ``--frontier 1,3,10`` re-invokes this module once per
 scale factor in a fresh subprocess (so each point's peak RSS is
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import resource
@@ -31,8 +32,9 @@ import sys
 import tempfile
 import time
 
+from repro.analysis.context import world_pipeline
 from repro.classify.engine import ClassifyEngine, ClassifyResult, select_version_indexes
-from repro.psl.packed import PackedHistory
+from repro.runtime.checkpoint import atomic_write_bytes
 from repro.webgraph.requestlog import RequestLogConfig, record_count
 
 #: Exit status when the run completed with quarantined chunks.
@@ -50,27 +52,13 @@ def peak_rss_mb() -> float:
     return (own + children) / 1024.0
 
 
-def packed_artifact_path(seed: int, cache_dir: str | None, run_dir: str) -> str | None:
-    """The verified packed history blob the run maps and diffs.
-
-    It is the world pipeline's raw ``packed`` artifact, in
-    ``cache_dir`` (built once, shared by every later run and by
-    ``psl-serve --packed``) or, without one, in a store under
-    ``run_dir/artifacts``.  Both stores are content-addressed, so a run
-    directory reused under another seed gets that seed's blob.
-    """
-    from repro.analysis.context import world_pipeline
-
-    store_dir = cache_dir if cache_dir is not None else os.path.join(run_dir, "artifacts")
-    return world_pipeline(seed, store_dir).path("packed")
-
-
 def write_csv(path: str, result: ClassifyResult) -> None:
     rows = [row.to_json() for row in result.rows]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write_bytes(path, buffer.getvalue().encode("utf-8"))
 
 
 def run_frontier(arguments: argparse.Namespace) -> int:
@@ -95,8 +83,6 @@ def run_frontier(arguments: argparse.Namespace) -> int:
             ]
             if arguments.cache_dir is not None:
                 command += ["--cache-dir", arguments.cache_dir]
-            if arguments.packed is not None:
-                command += ["--packed", arguments.packed]
             status = subprocess.run(command).returncode
             if status != 0 or not os.path.exists(stats_path):
                 print(f"{scale:>7g}  FAILED (exit {status}) — frontier reached")
@@ -155,13 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="pipeline artifact store; the packed history is built once "
-        "there and mmap-shared by every later run",
-    )
-    parser.add_argument(
-        "--packed", default=None, metavar="PATH",
-        help="an existing PSLPAK1 blob to classify against (skips the "
-        "pipeline; overrides --cache-dir)",
+        help="pipeline artifact store; the version history is built once "
+        "there and loaded by every later run",
     )
     parser.add_argument("--out", default=None, help="write the per-version table as CSV")
     parser.add_argument("--json", default=None, help="write full stats as JSON")
@@ -186,18 +167,14 @@ def main(argv: list[str] | None = None) -> int:
         run_dir = scratch.name
     try:
         started = time.perf_counter()
-        if arguments.packed is not None:
-            packed = arguments.packed
-        else:
-            packed = packed_artifact_path(arguments.seed, arguments.cache_dir, run_dir)
+        store_dir = arguments.cache_dir or os.path.join(run_dir, "artifacts")
+        history = world_pipeline(arguments.seed, store_dir).build("history")
         config = RequestLogConfig(
             seed=arguments.seed,
             scale=arguments.scale,
             records=arguments.records,
             malformed_rate=arguments.malformed_rate,
         )
-        # One open (one CRC pass) serves both the count and the engine.
-        history = PackedHistory.load(os.path.abspath(packed))
         total_versions = len(history)
         engine = ClassifyEngine(
             history,
@@ -224,8 +201,8 @@ def main(argv: list[str] | None = None) -> int:
             stats["peak_rss_mb"] = round(peak_rss_mb(), 1)
             stats["scale"] = arguments.scale
             stats["workers"] = arguments.workers
-            with open(arguments.json, "w", encoding="utf-8") as handle:
-                json.dump(stats, handle, indent=1, sort_keys=True)
+            payload = json.dumps(stats, indent=1, sort_keys=True)
+            atomic_write_bytes(arguments.json, payload.encode("utf-8"))
         if not arguments.quiet:
             print(result.summary())
             print(

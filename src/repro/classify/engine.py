@@ -8,8 +8,8 @@ platform layers:
 * the version axis is one
   :class:`~repro.classify.partials.VersionAxis`: the selected versions
   (plus the baseline) cut as deltas from a
-  :class:`~repro.history.store.VersionStore` or diffed from a packed
-  ``PSLPAK1`` blob, built into one
+  :class:`~repro.history.store.VersionStore` (or diffed from a packed
+  ``PSLPAK1`` blob path), built into one
   :class:`~repro.psl.intervals.IntervalTrie`.  The engine builds it
   once, when its first run first has a chunk to execute (never in the
   constructor, never for a run whose every chunk resumes from the
@@ -22,9 +22,9 @@ platform layers:
 * execution is :class:`repro.runtime.ResilientExecutor` — bounded
   retries, ``BrokenProcessPool`` recovery, poisoned-chunk quarantine,
   and chunk-granular checkpoint/resume keyed by a manifest fingerprint
-  covering the source, the selected versions' rule-set fingerprints,
-  and the chunking (a resumed run can only reuse results bit-identical
-  to what it would compute itself);
+  covering the source, the selected versions' SHA-256 rule-set
+  fingerprints, and the chunking (a resumed run can only reuse results
+  bit-identical to what it would compute itself);
 * the merge replays each chunk's delta-encoded spill against **one**
   global site counter, version at a time, so driver memory is O(one
   version's site universe) regardless of how many versions ran.
@@ -221,10 +221,11 @@ class ClassifyResult:
 class ClassifyEngine:
     """Runs one classify job end to end inside a run directory.
 
-    ``history`` is a :class:`~repro.history.store.VersionStore`, a
-    packed blob path, or an already opened
-    :class:`~repro.psl.packed.PackedHistory`; either way
-    ``version_indexes`` and ``baseline`` are raw indexes into it.
+    ``history`` is a :class:`~repro.history.store.VersionStore` or a
+    packed blob path (kept only for the classify-bulk benchmark harness,
+    ``benchmarks/e2e/batch.py``); either way ``version_indexes`` and
+    ``baseline`` are raw indexes into it, and a row's ``trie_fingerprint``
+    is the version's stored SHA-256 fingerprint, so both give equal rows.
 
     The run directory owns the mutable state — ``checkpoints/`` (the
     resume ledger), ``spills/`` (per-chunk version tables), and
@@ -234,7 +235,7 @@ class ClassifyEngine:
 
     def __init__(
         self,
-        history: str | PackedHistory | VersionStore,
+        history: VersionStore | str,
         *,
         version_indexes: Sequence[int],
         baseline: int = -1,
@@ -259,7 +260,7 @@ class ClassifyEngine:
         self._history = history
         self._axis: VersionAxis | None = None
         if isinstance(history, VersionStore):
-            self._fingerprint = lambda index: format(history.version(index).set_digest, "032x")
+            self._fingerprint = lambda index: history.version(index).fingerprint
             self._diff = VersionDeltas.from_store
         else:
             self._fingerprint = history.fingerprint

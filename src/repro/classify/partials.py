@@ -4,9 +4,10 @@ Each worker task classifies every distinct hostname of one
 :class:`~repro.classify.columnar.ColumnarChunk` under every selected
 PSL version.  The version source is :class:`VersionDeltas`: the first
 version's rules and one :class:`~repro.psl.diff.RuleDelta` per later
-version, whether cut from a :class:`~repro.history.store.VersionStore`
-(the Figure 5-7 sweep, :func:`repro.analysis.boundaries.run_sweep`) or
-diffed from a ``PSLPAK1`` blob (``psl-classify``).  The engine builds
+version, cut from a :class:`~repro.history.store.VersionStore` (the
+Figure 5-7 sweep, :func:`repro.analysis.boundaries.run_sweep`, and
+``psl-classify``) or diffed from a ``PSLPAK1`` blob (the classify-bulk
+benchmark harness only).  The engine builds
 it into a :class:`VersionAxis`, an
 :class:`~repro.psl.intervals.IntervalTrie` over those versions, once
 per engine, and every task carries that one axis: the worker builds
@@ -225,7 +226,8 @@ class VersionDeltas:
         cls, history: PackedHistory, version_indexes: tuple[int, ...], baseline_index: int
     ) -> "VersionDeltas":
         """Diff the axis's versions neighbour by neighbour (two rule sets
-        beyond the first alive at a time)."""
+        beyond the first alive at a time); only for the engine's blob
+        path, which only ``benchmarks/e2e/batch.py`` passes."""
         slots = _axis(version_indexes, baseline_index)
         first = previous = frozenset(history.trie(slots[0]).iter_rules())
         deltas = []

@@ -24,6 +24,7 @@ from collections import OrderedDict
 from typing import Iterable, Iterator
 
 from repro.psl.diff import RuleDelta
+from repro.psl.fingerprint import SortedRuleSet
 from repro.psl.list import PublicSuffixList
 from repro.psl.rules import Rule
 from repro.history.version import PslVersion, commit_hash, rule_digest
@@ -46,6 +47,11 @@ class VersionStore:
         self._tip_rules: set[Rule] = set()
         self._tip_digest = 0
         self._index_by_digest: dict[int, int] = {}
+        # ~1 MiB for the real list: not pickled, rebuilt by the next commit.
+        self._tip_sorted: SortedRuleSet | None = SortedRuleSet()
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_tip_sorted": None}
 
     # -- writing -------------------------------------------------------------
 
@@ -56,6 +62,7 @@ class VersionStore:
         monotone non-decreasing, removed rules must exist, added rules
         must not, and empty deltas are rejected (the paper's 1,142
         "versions" are exactly the commits that changed the rule set).
+        Each version's ``fingerprint`` is stamped here, once.
         """
         if not delta:
             raise ValueError("refusing to commit an empty delta")
@@ -75,12 +82,16 @@ class VersionStore:
             )
 
         parent = self._versions[-1].commit if self._versions else GENESIS_HASH
+        if self._tip_sorted is None:
+            self._tip_sorted = SortedRuleSet(self._tip_rules)
         self._tip_rules -= delta.removed
         self._tip_rules |= delta.added
         for rule in delta.removed:
             self._tip_digest ^= rule_digest(rule.text)
+            self._tip_sorted.remove(rule)
         for rule in delta.added:
             self._tip_digest ^= rule_digest(rule.text)
+            self._tip_sorted.add(rule)
         version = PslVersion(
             index=len(self._versions),
             date=date,
@@ -89,6 +100,7 @@ class VersionStore:
             rule_count=len(self._tip_rules),
             set_digest=self._tip_digest,
             message=message,
+            fingerprint=self._tip_sorted.fingerprint().hex(),
         )
         self._index_by_digest.setdefault(self._tip_digest, version.index)
         self._versions.append(version)

@@ -45,9 +45,10 @@ class PslVersion:
 
     The rule set itself is *not* stored here — materialize it through
     :meth:`repro.history.store.VersionStore.rules_at` or ``checkout``.
-    ``set_digest`` is the order-independent rule-set digest (see
-    :func:`rule_digest`); two versions with equal digests carry the
-    same rules.
+    ``fingerprint`` is the version's identity wherever a result is keyed
+    to it: the 64-hex :mod:`repro.psl.fingerprint` SHA-256, stamped once
+    at commit.  ``set_digest`` is the order-independent XOR digest (see
+    :func:`rule_digest`) that only indexes versions for lookup.
     """
 
     index: int
@@ -57,6 +58,7 @@ class PslVersion:
     rule_count: int
     set_digest: int = 0
     message: str = ""
+    fingerprint: str = ""
 
     def age_at(self, reference: datetime.date) -> int:
         """List age in days at ``reference`` (Figure 3's x-axis)."""

@@ -10,6 +10,8 @@ Implements the full publicsuffix.org algorithm over ``.dat`` files:
   trie and the prevailing-rule lookup;
 * :mod:`repro.psl.list` — the :class:`~repro.psl.list.PublicSuffixList`
   facade (public suffix, registrable domain, site equality);
+* :mod:`repro.psl.fingerprint` — the one SHA-256 rule-set fingerprint
+  every layer keys a list version by;
 * :mod:`repro.psl.packed` — the flat, immutable, mmap-shareable trie
   encoding behind zero-copy snapshot serving;
 * :mod:`repro.psl.intervals` — one trie answering a hostname under

@@ -13,10 +13,10 @@ same fingerprint regardless of rule ordering or comments.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.psl.fingerprint import rule_set_fingerprint, sort_key
 from repro.psl.idna import to_ascii
 from repro.psl.rules import Rule, RuleKind, Section
 from repro.psl.trie import SuffixTrie
@@ -100,19 +100,12 @@ class PublicSuffixList:
     __slots__ = ("_rules", "_trie", "_fingerprint", "_rules_by_text")
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        unique = sorted(set(rules), key=lambda r: (r.labels, r.kind.value))
-        self._rules: tuple[Rule, ...] | None = tuple(unique)
+        self._rules: tuple[Rule, ...] | None = tuple(sorted(set(rules), key=sort_key))
         self._trie = SuffixTrie(self._rules)
         self._rules_by_text: dict[str, Rule] | None = {
             rule.text: rule for rule in self._rules
         }
-        digest = hashlib.sha256()
-        for rule in self._rules:
-            digest.update(rule.text.encode("utf-8"))
-            digest.update(b"\n")
-            digest.update(rule.section.value.encode("ascii"))
-            digest.update(b"\n")
-        self._fingerprint = digest.hexdigest()
+        self._fingerprint = rule_set_fingerprint(self._rules).hex()
 
     @classmethod
     def from_packed(cls, trie: "PackedTrie") -> "PublicSuffixList":
@@ -176,15 +169,13 @@ class PublicSuffixList:
     def rules(self) -> tuple[Rule, ...]:
         """All rules, sorted canonically (materialized lazily when packed)."""
         if self._rules is None:
-            unique = sorted(
-                set(self._trie.iter_rules()), key=lambda r: (r.labels, r.kind.value)
-            )
-            self._rules = tuple(unique)
+            self._rules = tuple(sorted(set(self._trie.iter_rules()), key=sort_key))
         return self._rules
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical rule serialization.
+        """SHA-256 over the canonical rule serialization
+        (:func:`repro.psl.fingerprint.rule_set_fingerprint`, hex).
 
         Stable across comment changes, rule reordering, and whitespace —
         exactly the equivalence the list-dating layer needs.

@@ -59,7 +59,6 @@ bit-flipped buffer fails loading with :class:`PackedFormatError`
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 import os
 import struct
@@ -70,6 +69,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.psl.errors import PslError
+from repro.psl.fingerprint import rule_set_fingerprint, sort_key
 from repro.psl.rules import Rule, RuleKind, Section
 from repro.psl.trie import WILDCARD_LABEL, SuffixTrie, TrieNode
 
@@ -141,54 +141,6 @@ class PackedBufferInUseError(RuntimeError):
 # ---------------------------------------------------------------------------
 # writer
 # ---------------------------------------------------------------------------
-
-
-def _rule_sort_key(rule: Rule) -> tuple:
-    """Canonical rule order (the PublicSuffixList fingerprint order)."""
-    return (rule.labels, rule.kind.value, rule.section.value)
-
-
-def _fingerprint_chunk(rule: Rule) -> bytes:
-    """One rule's contribution to the canonical rule-set fingerprint."""
-    return (
-        rule.text.encode("utf-8") + b"\n" + rule.section.value.encode("ascii") + b"\n"
-    )
-
-
-class _SortedRuleSet:
-    """An incrementally maintained sorted rule list + fingerprint.
-
-    Sorting ~9k rules from scratch for each of 1,142 versions is the
-    slow way to compute per-version fingerprints; applying each
-    version's few-rule delta to one sorted list is the fast way.
-    """
-
-    __slots__ = ("_keys", "_chunks")
-
-    def __init__(self) -> None:
-        self._keys: list[tuple] = []
-        self._chunks: list[bytes] = []
-
-    def add(self, rule: Rule) -> None:
-        key = _rule_sort_key(rule)
-        index = bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            return  # identical rule already present
-        self._keys.insert(index, key)
-        self._chunks.insert(index, _fingerprint_chunk(rule))
-
-    def remove(self, rule: Rule) -> None:
-        key = _rule_sort_key(rule)
-        index = bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            del self._keys[index]
-            del self._chunks[index]
-
-    def fingerprint(self) -> bytes:
-        digest = hashlib.sha256()
-        for chunk in self._chunks:
-            digest.update(chunk)
-        return digest.digest()
 
 
 def _flatten(
@@ -342,17 +294,16 @@ def pack_rules(rules: Iterable[Rule]) -> bytes:
     histories should go through :func:`pack_history` so every version
     shares one string table.
     """
-    rule_list = sorted(set(rules), key=_rule_sort_key)
+    rule_list = sorted(set(rules), key=sort_key)
     label_set: set[str] = set()
     for rule in rule_list:
         label_set.update(rule.labels)
     label_list = sorted(label_set)
     label_id = {text: index for index, text in enumerate(label_list)}
     trie = SuffixTrie(rule_list)
-    digest = hashlib.sha256()
-    for rule in rule_list:
-        digest.update(_fingerprint_chunk(rule))
-    return _assemble(label_list, [(_flatten(trie._root, label_id), digest.digest())])
+    return _assemble(
+        label_list, [(_flatten(trie._root, label_id), rule_set_fingerprint(rule_list))]
+    )
 
 
 def pack_history(store: "VersionStore", *, indexes: Sequence[int] | None = None) -> bytes:
@@ -363,7 +314,9 @@ def pack_history(store: "VersionStore", *, indexes: Sequence[int] | None = None)
     changed rule, 1,142 flattens — not 1,142 trie rebuilds).  An
     explicit index subset materializes each requested version instead.
 
-    Per-version fingerprints in the buffer equal
+    Per-version fingerprints in the buffer are the stamps
+    :meth:`~repro.history.store.VersionStore.commit` wrote
+    (``PslVersion.fingerprint``), which equal
     ``PublicSuffixList(rules).fingerprint`` for the same rule set, so
     packed snapshots drop into every fingerprint-keyed cache unchanged.
     """
@@ -378,13 +331,10 @@ def pack_history(store: "VersionStore", *, indexes: Sequence[int] | None = None)
         label_id = {text: index for index, text in enumerate(label_list)}
 
         def versions() -> Iterator[tuple[tuple[array, ...], bytes]]:
-            for rules in rule_sets:
-                ordered = sorted(rules, key=_rule_sort_key)
-                digest = hashlib.sha256()
-                for rule in ordered:
-                    digest.update(_fingerprint_chunk(rule))
-                trie = SuffixTrie(ordered)
-                yield _flatten(trie._root, label_id), digest.digest()
+            for index, rules in zip(chosen, rule_sets):
+                trie = SuffixTrie(sorted(rules, key=sort_key))
+                stamp = bytes.fromhex(store.version(index).fingerprint)
+                yield _flatten(trie._root, label_id), stamp
 
         return _assemble(label_list, versions())
 
@@ -397,15 +347,12 @@ def pack_history(store: "VersionStore", *, indexes: Sequence[int] | None = None)
 
     def replayed() -> Iterator[tuple[tuple[array, ...], bytes]]:
         live = SuffixTrie()
-        tracker = _SortedRuleSet()
         for version in store:
             for rule in version.delta.removed:
                 live.remove(rule)
-                tracker.remove(rule)
             for rule in version.delta.added:
                 live.insert(rule)
-                tracker.add(rule)
-            yield _flatten(live._root, label_id), tracker.fingerprint()
+            yield _flatten(live._root, label_id), bytes.fromhex(version.fingerprint)
 
     return _assemble(label_list, replayed())
 

@@ -40,6 +40,7 @@ import urllib.request
 
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
+from repro.runtime.checkpoint import atomic_write_bytes
 from repro.runtime.executor import RetryPolicy
 from repro.runtime.faults import Fault, FaultPlan
 from repro.serve.cli import prefix_store
@@ -321,13 +322,9 @@ def soak(args: argparse.Namespace) -> int:
     check("server refuses connections after drain", not still_up)
 
     if args.journal_out:
-        with open(args.journal_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"fault_plan": plan.to_json(), "polls": polls, "journal": journal.to_json()},
-                handle,
-                indent=1,
-                sort_keys=True,
-            )
+        record = {"fault_plan": plan.to_json(), "polls": polls, "journal": journal.to_json()}
+        payload = json.dumps(record, indent=1, sort_keys=True)
+        atomic_write_bytes(args.journal_out, payload.encode("utf-8"))
         print(f"journal + fault plan written to {args.journal_out}")
 
     if failures:

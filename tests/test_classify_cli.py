@@ -1,4 +1,9 @@
-"""``psl-classify`` end to end, in-process, against a tiny packed blob."""
+"""``psl-classify`` end to end, in-process, over a small seeded history.
+
+``synthesize_history`` is patched to a six-version history drawn from
+the world seed, so the CLI's pipeline ``history`` artifact builds in
+milliseconds under the same stage fingerprint as the real one.
+"""
 
 from __future__ import annotations
 
@@ -12,22 +17,32 @@ import pytest
 
 import repro.analysis.context
 import repro.history.synthesis
+from repro.analysis.context import world_pipeline
 from repro.classify.cli import EXIT_DEGRADED, main
 from repro.history.store import VersionStore
-from repro.history.synthesis import SynthesisConfig, synthesize_history
-from repro.psl.packed import pack_history
+from repro.history.synthesis import SynthesisConfig
 from repro.psl.rules import Rule
 
-TEST_SEED = 20230701
+
+def seeded_history(config: SynthesisConfig) -> VersionStore:
+    rng = random.Random(config.seed)
+    store = VersionStore()
+    date = datetime.date(2016, 1, 1)
+    store.commit_rules(date, added=[Rule.parse(n) for n in ("com", "uk", "co.uk")])
+    for index in range(1, 6):
+        name = f"s{rng.randrange(10**9)}.example.com"
+        store.commit_rules(date + datetime.timedelta(days=30 * index),
+                           added=[Rule.parse(name)])
+    return store
 
 
-@pytest.fixture(scope="module")
-def packed_path(tmp_path_factory):
-    store = synthesize_history(SynthesisConfig(seed=TEST_SEED))
-    subset = sorted(set(range(0, len(store), 120)) | {len(store) - 1})
-    path = tmp_path_factory.mktemp("packed") / "packed.bin"
-    path.write_bytes(pack_history(store, indexes=subset))
-    return str(path)
+@pytest.fixture(autouse=True)
+def small_history(monkeypatch):
+    # The world stage looks the synthesizer up in its own module; the
+    # defining module is patched too, so no code path in these tests
+    # can fall back to synthesizing the full history.
+    monkeypatch.setattr(repro.analysis.context, "synthesize_history", seeded_history)
+    monkeypatch.setattr(repro.history.synthesis, "synthesize_history", seeded_history)
 
 
 def run_cli(*argv: str) -> int:
@@ -35,11 +50,10 @@ def run_cli(*argv: str) -> int:
 
 
 class TestMain:
-    def test_happy_path_writes_csv_and_json(self, packed_path, tmp_path, capsys):
+    def test_happy_path_writes_csv_and_json(self, tmp_path, capsys):
         out_csv = str(tmp_path / "table.csv")
         out_json = str(tmp_path / "stats.json")
         status = run_cli(
-            "--packed", packed_path,
             "--records", "2048",
             "--versions", "3",
             "--out", out_csv,
@@ -61,12 +75,15 @@ class TestMain:
         assert stats["peak_rss_mb"] > 0
         assert len(stats["rows"]) == 3
         assert int(rows[-1]["sites"]) == stats["rows"][-1]["sites"]
+        store = seeded_history(SynthesisConfig(seed=20230701))
+        assert [row["trie_fingerprint"] for row in stats["rows"]] == [
+            store.checkout(row["version"]).fingerprint for row in stats["rows"]
+        ]
 
-    def test_run_dir_resume_round_trip(self, packed_path, tmp_path):
+    def test_run_dir_resume_round_trip(self, tmp_path):
         run_dir = str(tmp_path / "run")
         stats_path = str(tmp_path / "stats.json")
         base = [
-            "--packed", packed_path,
             "--records", "2048",
             "--versions", "3",
             "--run-dir", run_dir,
@@ -79,36 +96,35 @@ class TestMain:
         assert stats["resumed_chunks"] == stats["chunks"] > 0
         assert stats["executed_chunks"] == 0
 
-    def test_resume_requires_run_dir(self, packed_path):
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    def test_failed_write_leaves_the_previous_file_intact(self, flag, tmp_path, monkeypatch):
+        target = tmp_path / "outputs" / "result"
+        target.parent.mkdir()
+        target.write_text("previous\n", encoding="utf-8")
+        replace = os.replace
+
+        def failing_replace(source, destination):
+            if os.fspath(destination) == str(target):
+                raise OSError(28, "No space left on device")
+            return replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            run_cli("--records", "512", "--versions", "3", flag, str(target), "--quiet")
+        assert target.read_text(encoding="utf-8") == "previous\n"
+        assert os.listdir(target.parent) == ["result"]  # no temp file left behind
+
+    def test_resume_requires_run_dir(self):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli("--packed", packed_path, "--resume")
+            run_cli("--resume")
         assert excinfo.value.code == 2
 
-    def test_nonpositive_workers_rejected(self, packed_path):
+    def test_nonpositive_workers_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli("--packed", packed_path, "--workers", "0")
+            run_cli("--workers", "0")
         assert excinfo.value.code == 2
 
-    def test_run_dir_reused_under_another_seed_classifies_that_seed(
-        self, tmp_path, monkeypatch
-    ):
-        def seeded_history(config: SynthesisConfig) -> VersionStore:
-            rng = random.Random(config.seed)
-            store = VersionStore()
-            date = datetime.date(2016, 1, 1)
-            store.commit_rules(date, added=[Rule.parse(n) for n in ("com", "uk", "co.uk")])
-            for index in range(1, 6):
-                name = f"s{rng.randrange(10**9)}.example.com"
-                store.commit_rules(date + datetime.timedelta(days=30 * index),
-                                   added=[Rule.parse(name)])
-            return store
-
-        # The world stage looks the synthesizer up in its own module;
-        # the defining module is patched too, so no code path in this
-        # test can fall back to synthesizing the full history.
-        monkeypatch.setattr(repro.analysis.context, "synthesize_history", seeded_history)
-        monkeypatch.setattr(repro.history.synthesis, "synthesize_history", seeded_history)
-
+    def test_run_dir_reused_under_another_seed_classifies_that_seed(self, tmp_path):
         def fingerprints(seed: int, run_dir: str) -> list[str]:
             stats = tmp_path / "stats.json"
             status = run_cli(
@@ -128,11 +144,15 @@ class TestMain:
 
 
 class TestFrontier:
-    def test_frontier_prints_one_row_per_scale(self, packed_path, capsys, monkeypatch):
+    def test_frontier_prints_one_row_per_scale(self, tmp_path, capsys, monkeypatch):
+        # Each probe is a fresh subprocess, out of the patch's reach: it
+        # loads the small history this process caches under its key.
+        cache_dir = str(tmp_path / "cache")
+        world_pipeline(20230701, cache_dir).build("history")
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
         monkeypatch.setenv("PYTHONPATH", src)
         status = run_cli(
-            "--packed", packed_path,
+            "--cache-dir", cache_dir,
             "--versions", "3",
             "--frontier", "0.001,0.002",
         )

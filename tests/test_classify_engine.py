@@ -27,8 +27,10 @@ from repro.analysis.boundaries import run_sweep
 from repro.classify.columnar import snapshot_chunks
 from repro.classify.engine import ClassifyEngine, select_version_indexes
 from repro.classify.partials import ClassifyTask, SpillReader, VersionAxis, VersionDeltas
+from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.net.hostname import normalize_or_none
+from repro.psl.diff import RuleDelta
 from repro.psl.intervals import IntervalTrie
 from repro.psl.packed import PackedHistory, pack_history
 from repro.runtime import ALWAYS, Fault, FaultKind, FaultPlan
@@ -262,6 +264,28 @@ class TestMergeInvariance:
         )
         assert serial.chunks == 3
         assert parallel.rows == serial.rows
+
+    def test_store_and_blob_sources_give_identical_rows(
+        self, history_store, subset, versions, reference, tmp_path
+    ):
+        """A store holding exactly the blob's versions classifies to the
+        same JSON rows, ``trie_fingerprint`` included: both sources key a
+        row by the version's SHA-256 rule-set fingerprint."""
+        store = VersionStore()
+        previous: frozenset = frozenset()
+        for raw in subset:
+            rules = history_store.rules_at(raw)
+            store.commit(
+                history_store.version(raw).date,
+                RuleDelta(added=rules - previous, removed=previous - rules),
+            )
+            previous = rules
+        result = ClassifyEngine(
+            store, version_indexes=versions, run_dir=str(tmp_path / "run")
+        ).run_synthetic(LOG, blocks_per_task=2)
+        assert [row.to_json() for row in result.rows] == [
+            row.to_json() for row in reference.rows
+        ]
 
     def test_spooled_stream_matches_synthetic(self, packed_path, versions, reference, tmp_path):
         """``run_stream`` (columnarize + spool an arbitrary iterable)

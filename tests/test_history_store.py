@@ -1,6 +1,7 @@
 """Tests for the version store."""
 
 import datetime
+import pickle
 
 import pytest
 
@@ -166,3 +167,23 @@ class TestDigestIndex:
             datetime.date(2020, 2, 1), added=_rules("co.uk"), removed=_rules("net")
         )
         assert direct.latest.set_digest == indirect.latest.set_digest
+
+
+class TestFingerprintStamps:
+    def test_each_version_is_stamped_with_its_checkout_fingerprint(self):
+        store = _store()
+        assert [version.fingerprint for version in store] == [
+            store.checkout(index).fingerprint for index in range(len(store))
+        ]
+
+    def test_commit_after_a_pickle_round_trip_stamps_correctly(self):
+        """The sorted tip behind the stamps stays out of the pickle (a
+        loaded store holds only the hex stamps) and the next commit
+        rebuilds it from the tip."""
+        payload = pickle.dumps(_store())
+        assert b"SortedRuleSet" not in payload
+        loaded = pickle.loads(payload)
+        version = loaded.commit_rules(
+            datetime.date(2011, 1, 1), added=_rules("pages.dev"), removed=_rules("com")
+        )
+        assert version.fingerprint == loaded.checkout(-1).fingerprint

@@ -4,6 +4,10 @@ The checklist cases mirror the official test data's categories
 (https://publicsuffix.org/list/), exercised against the fixture list.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.psl.list import PublicSuffixList
@@ -132,6 +136,31 @@ class TestContainer:
 
     def test_hashable(self, small_psl):
         assert small_psl in {small_psl}
+
+    def test_fingerprint_of_a_name_in_both_sections_ignores_hash_seed(self):
+        """A name listed in both sections once hashed in set order, so
+        its fingerprint hung on PYTHONHASHSEED; seeds 1 and 3 gave two
+        values.  Both must now give the packed writer's one value."""
+        script = (
+            "from repro.psl.list import PublicSuffixList\n"
+            "from repro.psl.packed import PackedHistory, pack_rules\n"
+            "from repro.psl.rules import Rule, Section\n"
+            "rules = [Rule.parse('com'), Rule.parse('example.com'),\n"
+            "         Rule.parse('example.com', section=Section.PRIVATE)]\n"
+            "print(PublicSuffixList(rules).fingerprint,\n"
+            "      PackedHistory.from_buffer(pack_rules(rules)).fingerprint(0))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        printed = set()
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+            listed, packed = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout.split()
+            assert listed == packed, seed
+            printed.add(listed)
+        assert len(printed) == 1
 
 
 class TestIntrospection:

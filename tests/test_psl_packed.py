@@ -19,6 +19,7 @@ Four correctness arguments, in rising order of paranoia:
 from __future__ import annotations
 
 import datetime
+import hashlib
 import json
 import os
 import random
@@ -212,6 +213,19 @@ class TestHistoryDifferential:
         for position, index in enumerate((0, 7, len(store) - 1)):
             oracle = PublicSuffixList(store.rules_at(index))
             assert packed.fingerprint(position) == oracle.fingerprint
+
+    def test_history_blob_bytes_are_pinned(self):
+        """The packed bytes of a seeded history, full and subset, pinned:
+        any change to how versions, tries or fingerprints are packed
+        must reproduce the same blob."""
+        full = pack_history(make_churn_store())
+        subset = pack_history(make_churn_store(versions=20), indexes=[0, 7, -1])
+        assert hashlib.sha256(full).hexdigest() == (
+            "ca30625e4960fbfbf319a5a6d485bd45038c3589788f78f1cdd1f23a379445a4"
+        )
+        assert hashlib.sha256(subset).hexdigest() == (
+            "37a7cb10d5252995a569829689749456bf5e543a22a655592e01eec448d24a65"
+        )
 
     def test_accounting_sections_sum_to_buffer(self):
         store = make_churn_store(versions=20)
