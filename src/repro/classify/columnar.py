@@ -200,25 +200,21 @@ def snapshot_chunks(
     """
     if hosts_per_chunk < 1:
         raise ValueError("hosts_per_chunk must be positive")
-    slot: dict[str, tuple[int, int]] = {}
-    hosts: list[list[str]] = []
-    for host in hostnames:
-        if host not in slot:
-            if not hosts or len(hosts[-1]) == hosts_per_chunk:
-                hosts.append([])
-            slot[host] = (len(hosts) - 1, len(hosts[-1]))
-            hosts[-1].append(host)
+    distinct = list(dict.fromkeys(hostnames))
+    # A host's universe position p puts it in chunk p // hosts_per_chunk.
+    position = dict(zip(distinct, range(len(distinct))))
+    hosts = [distinct[i : i + hosts_per_chunk] for i in range(0, len(distinct), hosts_per_chunk)]
     owned = [len(chunk_hosts) for chunk_hosts in hosts]
     foreign: list[dict[str, int]] = [{} for _ in hosts]
     pages = [array("I") for _ in hosts]
     requests = [array("I") for _ in hosts]
     for page, request in pairs:
         try:
-            chunk, page_index = slot[page]
+            chunk, page_index = divmod(position[page], hosts_per_chunk)
         except KeyError:
             raise ValueError(f"page host {page!r} is not in the hostname universe") from None
-        owner, request_index = slot.get(request, (-1, 0))
-        if owner != chunk:
+        request_index = position.get(request, -1) - chunk * hosts_per_chunk
+        if not 0 <= request_index < hosts_per_chunk:
             request_index = foreign[chunk].get(request, -1)
             if request_index < 0:
                 request_index = foreign[chunk][request] = len(hosts[chunk])

@@ -20,6 +20,7 @@ Public API:
   crash-safe write primitive every durable format goes through, and
   :func:`~repro.runtime.checkpoint.remove_temp_files`, which reclaims
   the temp files of killed writes in a directory one run owns;
+* :func:`~repro.runtime.collector.collector_paused` — the cyclic collector paused for a block;
 * :mod:`repro.runtime.faults` — the deterministic fault-injection
   harness (:class:`~repro.runtime.faults.FaultPlan`) the tests drive
   every failure mode with.
@@ -32,6 +33,7 @@ from repro.runtime.checkpoint import (
     atomic_write_bytes,
     remove_temp_files,
 )
+from repro.runtime.collector import collector_paused
 from repro.runtime.executor import (
     CorruptResultError,
     ExecutionReport,
@@ -65,6 +67,7 @@ __all__ = [
     "RetryPolicy",
     "TaskFailure",
     "atomic_write_bytes",
+    "collector_paused",
     "invoke_with_faults",
     "remove_temp_files",
 ]

@@ -36,10 +36,12 @@ in-flight requests under ``--drain-deadline`` seconds before closing.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
 import threading
 import time
+import urllib.parse
 import urllib.request
 from typing import Callable
 
@@ -194,6 +196,21 @@ def _fetch(url: str, *, data: bytes | None = None) -> tuple[int, bytes]:
         return error.code, error.read()
 
 
+def _metrics_after_a_lookup(base: str) -> tuple[int, bytes]:
+    """``GET /site`` then ``/metrics`` on one keep-alive connection, so under
+    ``SO_REUSEPORT`` the worker that renders the histogram has answered one."""
+    url = urllib.parse.urlsplit(base)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        connection.request("GET", "/site?host=www.example.co.uk")
+        connection.getresponse().read()
+        connection.request("GET", "/metrics")
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
 def run_smoke(base: str) -> list[str]:
     """Drive every endpoint over real HTTP; returns failure messages.
 
@@ -278,7 +295,7 @@ def run_smoke(base: str) -> list[str]:
     status, body = get_json("/nowhere")
     check("unknown path is 404", status == 404, str(status))
 
-    status, raw = _fetch(base + "/metrics")
+    status, raw = _metrics_after_a_lookup(base)
     text = raw.decode()
     check("/metrics status", status == 200, str(status))
     for needle in (
