@@ -210,6 +210,8 @@ class VersionStore:
         """The net delta from version ``older`` to version ``newer``."""
         if older > newer:
             return self.delta_between(newer, older).invert()
+        if newer == older + 1:
+            return self._versions[newer].delta  # committed deltas are already net
         result = RuleDelta(frozenset(), frozenset())
         for position in range(older + 1, newer + 1):
             result = result.compose(self._versions[position].delta)

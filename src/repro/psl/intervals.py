@@ -59,10 +59,6 @@ def _thaw(frozen: _Frozen) -> _Node:
     return node
 
 
-def _live(spans: Spans, slot: int) -> bool:
-    return any(lo <= slot < hi for lo, hi in spans)
-
-
 class IntervalTrie:
     """Every slot of a rule-set history in one reversed-label trie.
 
@@ -123,27 +119,28 @@ class IntervalTrie:
     def _resolve(self, path: Sequence[str], beyond: bool) -> Segments:
         """Slot by slot, :meth:`SuffixTrie.prevailing` over the
         candidates of a walk along ``path``."""
-        normal: list[tuple[int, Spans]] = []
-        exceptions: list[tuple[int, Spans]] = []  # shallowest first
+        # (lo, hi, suffix length) per rule lifetime; exceptions shallowest first.
+        rules: list[tuple[int, int, int]] = []
+        excepted: list[tuple[int, int, int]] = []
         node = self._root
         for depth in range(len(path) + beyond):
             wildcard = node.children.get(WILDCARD_LABEL)
-            if wildcard is not None and wildcard.normal:
-                normal.append((depth + 1, wildcard.normal))
+            if wildcard is not None:
+                for lo, hi in wildcard.normal:
+                    rules.append((lo, hi, depth + 1))
             if depth < len(path):
                 node = node.children[path[depth]]
-                if node.exception:
-                    exceptions.append((depth, node.exception))
-                if node.normal:
-                    normal.append((depth + 1, node.normal))
-        bounds = {bound for _, spans in normal + exceptions for span in spans for bound in span}
+                for lo, hi in node.exception:
+                    excepted.append((lo, hi, depth))
+                for lo, hi in node.normal:
+                    rules.append((lo, hi, depth + 1))
         out: list[tuple[int, int]] = []
-        for slot in sorted(bounds | {0}):
+        for slot in sorted({0, *(bound for lo, hi, _ in rules + excepted for bound in (lo, hi))}):
             if slot >= self.slots:
                 break
-            live = [length for length, spans in exceptions if _live(spans, slot)]
+            live = [length for lo, hi, length in excepted if lo <= slot < hi]
             length = live[0] if live else max(
-                (length for length, spans in normal if _live(spans, slot)), default=1
+                [length for lo, hi, length in rules if lo <= slot < hi], default=1
             )
             if not out or out[-1][1] != length:
                 out.append((slot, length))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from repro.webgraph.records import Page
@@ -63,10 +64,9 @@ class Snapshot:
         return len(self.hostnames)
 
     def iter_request_pairs(self) -> Iterator[tuple[str, str]]:
-        """(page host, request host) pairs, with multiplicity."""
-        for page in self.pages:
-            for request_host in page.request_hosts:
-                yield page.host, request_host
+        """(page host, request host) pairs, with multiplicity (Python per page, C per pair)."""
+        hosts = chain.from_iterable(repeat(page.host, page.request_count) for page in self.pages)
+        return zip(hosts, chain.from_iterable(page.request_hosts for page in self.pages))
 
     # -- persistence ---------------------------------------------------------
 
